@@ -435,9 +435,10 @@ func runFleet(ctx context.Context, srv *service, chain *core.FallbackChain, cfg 
 	err = eng.Run(ctx)
 	srv.setReady(false)
 	snap := eng.Stats(false)
-	fmt.Fprintf(os.Stderr, "hmd-serve: fleet done: %d verdicts (%d prior-held) over %d rotations, shed=%d, checkpoints=%d (%d failed)\n",
+	fmt.Fprintf(os.Stderr, "hmd-serve: fleet done: %d verdicts (%d prior-held) over %d rotations, shed=%d, checkpoints=%d (%d failed), tick lateness p99/max %.0f/%.0f us, %d catch-up ticks\n",
 		snap.Verdicts, snap.LostVerdicts, snap.Rotations, snap.ShedIntervals,
-		snap.CheckpointsWritten, snap.CheckpointErrors)
+		snap.CheckpointsWritten, snap.CheckpointErrors,
+		snap.WheelLate.P99Micros, snap.WheelLate.MaxMicros, snap.CatchUpTicks)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		fatal(err)
 	}

@@ -130,6 +130,23 @@ type FleetReport struct {
 	// quantized on an MLP-heavy chain (absent with SkipDensity).
 	DensityChain []string       `json:",omitempty"`
 	Density      []DensityPoint `json:",omitempty"`
+	// Paced is the sweep's last (by default largest) stream count served
+	// once more at the paper's 10 ms interval, reporting the wheel's own
+	// cadence health.
+	Paced *PacedPoint `json:",omitempty"`
+}
+
+// PacedPoint is a paced run's wheel health: the rotation rate it held
+// (100/s keeps the 10 ms cadence) and how late its ticks ran — the same
+// Snapshot.WheelLate and CatchUpTicks an operator reads from /stats.
+type PacedPoint struct {
+	Streams            int
+	WallMillis         float64
+	RotationsPerSec    float64
+	WheelLateP50Micros float64
+	WheelLateP99Micros float64
+	WheelLateMaxMicros float64
+	CatchUpTicks       int64
 }
 
 // Fleet runs the multi-stream serving benchmark on the context's
@@ -153,7 +170,7 @@ func (ctx *Context) Fleet(cfg FleetBenchConfig) (*FleetReport, error) {
 	for _, n := range cfg.streamCounts() {
 		pt := FleetPoint{Streams: n}
 
-		ivPerSec, wall, snap, err := fleetRun(chain, core.TierCompiled, n, cfg.intervals(), cfg.shards())
+		ivPerSec, wall, snap, err := fleetRun(chain, core.TierCompiled, n, cfg.intervals(), cfg.shards(), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -185,6 +202,22 @@ func (ctx *Context) Fleet(cfg FleetBenchConfig) (*FleetReport, error) {
 		rep.Points = append(rep.Points, pt)
 	}
 
+	counts := cfg.streamCounts()
+	n := counts[len(counts)-1]
+	_, wall, snap, err := fleetRun(chain, core.TierCompiled, n, cfg.intervals(), cfg.shards(), 10*time.Millisecond)
+	if err != nil {
+		return nil, err
+	}
+	rep.Paced = &PacedPoint{
+		Streams:            n,
+		WallMillis:         durMillis(wall),
+		RotationsPerSec:    float64(snap.Rotations) / wall.Seconds(),
+		WheelLateP50Micros: snap.WheelLate.P50Micros,
+		WheelLateP99Micros: snap.WheelLate.P99Micros,
+		WheelLateMaxMicros: snap.WheelLate.MaxMicros,
+		CatchUpTicks:       snap.CatchUpTicks,
+	}
+
 	if !cfg.SkipDensity {
 		// Density sweep: how many 10 ms streams one node covers, and
 		// what the quantized tier buys at fleet level. The chain is
@@ -200,11 +233,11 @@ func (ctx *Context) Fleet(cfg FleetBenchConfig) (*FleetReport, error) {
 		}
 		for _, n := range cfg.densityCounts() {
 			dp := DensityPoint{Streams: n}
-			comp, _, csnap, err := fleetRun(mlp, core.TierCompiled, n, cfg.intervals(), cfg.shards())
+			comp, _, csnap, err := fleetRun(mlp, core.TierCompiled, n, cfg.intervals(), cfg.shards(), 0)
 			if err != nil {
 				return nil, err
 			}
-			quant, _, qsnap, err := fleetRun(mlp, core.TierQuantized, n, cfg.intervals(), cfg.shards())
+			quant, _, qsnap, err := fleetRun(mlp, core.TierQuantized, n, cfg.intervals(), cfg.shards(), 0)
 			if err != nil {
 				return nil, err
 			}
@@ -233,12 +266,13 @@ func (ctx *Context) Fleet(cfg FleetBenchConfig) (*FleetReport, error) {
 }
 
 // fleetRun serves n synthetic streams x intervals verdicts through one
-// fleet engine at the given tier (unpaced, lossless Block) and returns
-// the throughput, wall time and final snapshot.
-func fleetRun(chain *core.FallbackChain, tier core.Tier, n, intervals, shards int) (ivPerSec float64, wall time.Duration, snap fleet.Snapshot, err error) {
+// fleet engine at the given tier (lossless Block; unpaced when interval
+// is 0) and returns the throughput, wall time and final snapshot.
+func fleetRun(chain *core.FallbackChain, tier core.Tier, n, intervals, shards int, interval time.Duration) (ivPerSec float64, wall time.Duration, snap fleet.Snapshot, err error) {
 	e, err := fleet.New(fleet.Config{
 		Chain:          chain,
 		Shards:         shards,
+		Interval:       interval,
 		Policy:         supervise.Block,
 		PendingBatches: 8,
 		Tier:           tier,
@@ -357,6 +391,11 @@ func RenderFleet(r *FleetReport) string {
 				p.Streams, p.CompiledIntervalsPerSec, p.QuantizedIntervalsPerSec,
 				p.QuantSpeedupX, p.CompiledP999Micros, p.QuantizedP999Micros, p.MaxStreams10ms)
 		}
+	}
+	if p := r.Paced; p != nil {
+		fmt.Fprintf(&sb, "Paced wheel at 10 ms (%d streams, %.0f ms): %.1f rotations/s, tick lateness p50/p99/max %.0f/%.0f/%.0f us, %d catch-up ticks\n",
+			p.Streams, p.WallMillis, p.RotationsPerSec, p.WheelLateP50Micros, p.WheelLateP99Micros,
+			p.WheelLateMaxMicros, p.CatchUpTicks)
 	}
 	return sb.String()
 }

@@ -5,7 +5,7 @@
 //
 // The shape of the engine:
 //
-//		            ┌── timer wheel (one ticker for every stream) ──┐
+//		            ┌── timer wheel (one schedule for every stream) ┐
 //		            │ slot 0: h0 h4 h8 …   slot 1: h1 h5 h9 …   …   │
 //		            └──────┬────────────────────┬───────────────────┘
 //		     staged batch  │ (due streams)      │  per-shard SPSC ring
@@ -19,7 +19,20 @@
 //	  - One timer wheel drives every stream's sampling interval: streams
 //	    are spread round-robin over the wheel's slots, the wheel ticks
 //	    once per slot, and a full rotation harvests every live stream
-//	    exactly once. One ticker total, not one per stream.
+//	    exactly once. Ticks follow one absolute deadline schedule — tick
+//	    k of a Run is due at start + k·Interval/slots — not a ticker:
+//	    each wake runs every overdue tick in order, so a late timer, a GC
+//	    pause or a full shard ring delays ticks but never drops one, and
+//	    the wheel catches up rather than losing rotations. Runs of slots
+//	    with no live stream are slept through (at most a rotation; Add
+//	    pokes the wheel), and their ticks still run on wake, so tick,
+//	    rotation and checkpoint counts do not change.
+//	  - A push-fed (source.Queued) stream is harvested at its slot when
+//	    it has an unclaimed sample. That alone matches its arrival rate
+//	    exactly, so one sample released just after its slot's tick would
+//	    leave the stream a rotation late for good; a stream still holding
+//	    an unclaimed sample after its harvest is harvested once more at
+//	    the rotation boundary, in a batch of its own, until it is current.
 //	  - The wheel's bookkeeping is dense: slots hold int32 handles into
 //	    chunked slabs of stream records, and stream chain state is carved
 //	    from per-shard arenas in admission order, so a harvest pass walks
@@ -48,9 +61,11 @@
 //	    shard gets a full replica via core.NewChainReplicator and every
 //	    stream's chain is assembled from its shard's detectors.
 //	  - Steady state allocates nothing per interval per stream: staging
-//	    batches and ring slots reuse their entry storage, sample buffers
-//	    and scoring matrices are per-shard scratch, and the wheel's
-//	    bookkeeping is fixed-size.
+//	    batches and ring slots reuse their entry storage, sized once for
+//	    the largest batch the shard's live streams can form (so a
+//	    catch-up burst grows nothing), sample buffers and scoring
+//	    matrices are per-shard scratch, and the wheel's bookkeeping is
+//	    fixed-size.
 //	  - The PR 2 supervision vocabulary carries over per stream: a
 //	    circuit breaker per source, lost-interval repair through the
 //	    chain's hold-last path, drop-oldest shedding with lag accounting
@@ -278,6 +293,16 @@ type stream struct {
 	finished    atomic.Bool
 }
 
+// unclaimed reports whether a push-fed stream holds a sample beyond
+// those claimed by staged or in-flight entries. The claim count is read
+// first: the shard pops a sample before it releases the sample's claim,
+// so reading in this order can only under-count what is unclaimed,
+// never count one sample twice.
+func (s *stream) unclaimed() bool {
+	claimed := s.inflight.Load()
+	return int64(s.qsrc.Pending()) > claimed
+}
+
 // finish marks the stream finished, firing OnFinish exactly once no
 // matter which side (shard horizon accounting or wheel drain pass) gets
 // there first.
@@ -323,6 +348,9 @@ type Engine struct {
 	// and has swept the leftovers.
 	pendingCaptures []*ckptReq
 	wheelDone       bool
+	// behind lists the push-fed streams harvested this rotation with a
+	// sample still unclaimed; harvestBehind serves them at the boundary.
+	behind []handle
 
 	// Per-shard staging, wheel-owned (filled under mu, flushed outside
 	// it): the tick harvest appends due streams in place, and the
@@ -333,6 +361,25 @@ type Engine struct {
 	stagedTicks []int
 	coalesce    []int
 	flushDue    []bool
+
+	// The wheel's clock. Run's deadline schedule reads now and parks on
+	// sleepUntil, which returns at the deadline, on ctx cancellation, or
+	// early when wheelWake is poked; tests substitute a fake pair. timer
+	// backs the real sleepUntil and is wheel-owned.
+	now        func() time.Time
+	sleepUntil func(ctx context.Context, t time.Time)
+	timer      *time.Timer
+	wheelWake  chan struct{}
+	// idleSleep is set while the wheel sleeps past idle ticks, so Add
+	// and CaptureStates know to poke it awake.
+	idleSleep atomic.Bool
+
+	// Paced-wheel lateness: how far past its deadline each tick ran
+	// (the max in µs, wheel-owned writes), and how many ticks ran back
+	// to back because the wheel woke after their deadline.
+	wheelLate    latHist
+	wheelLateMax atomic.Int64
+	catchUpTicks atomic.Int64
 }
 
 // New validates cfg, replicates the chain once per shard, and builds
@@ -371,7 +418,10 @@ func New(cfg Config) (*Engine, error) {
 		stagedTicks: make([]int, nshards),
 		coalesce:    make([]int, nshards),
 		flushDue:    make([]bool, nshards),
+		now:         time.Now,
+		wheelWake:   make(chan struct{}, 1),
 	}
+	e.sleepUntil = e.sleep
 	for i := range e.shards {
 		tmpl, err := newChain()
 		if err != nil {
@@ -461,6 +511,9 @@ func (e *Engine) Add(sc StreamConfig) error {
 	e.live++
 	sh.liveStreams.Add(1)
 	e.everAdded = true
+	if e.idleSleep.Load() {
+		wake(e.wheelWake) // the wheel may be sleeping past this slot
+	}
 	return nil
 }
 
@@ -546,22 +599,37 @@ func (e *Engine) Run(ctx context.Context) error {
 	stopWake := context.AfterFunc(rctx, e.wakeAll)
 	defer stopWake()
 
-	var ticker *time.Ticker
-	if d := e.slotDuration(); d > 0 {
-		ticker = time.NewTicker(d)
-		defer ticker.Stop()
-	}
+	// Paced runs follow an absolute schedule: tick k of this Run is due
+	// at start + k·d. Each wake runs every overdue tick in order before
+	// sleeping again, so a late timer, a GC pause, a checkpoint burst or
+	// a full shard ring delays ticks but never drops one — the wheel
+	// catches up instead of losing rotations. Ticks below resume are idle
+	// ticks the wheel chose to sleep past; they run on wake (keeping tick,
+	// rotation and checkpoint counts exact) but are not late.
+	d := e.slotDuration()
+	start := e.now()
+	var k, resume int64
+	slept := true
 	for rctx.Err() == nil {
+		if d > 0 {
+			due := start.Add(time.Duration(k) * d)
+			now := e.now()
+			if now.Before(due) {
+				resume = k + e.sleepToward(rctx, due, d)
+				slept = true
+				continue
+			}
+			if k >= resume {
+				e.noteLate(now.Sub(due), !slept && k > resume)
+			}
+			slept = false
+		}
 		harvested := e.tickOnce(rctx)
+		k++
 		if e.drained() {
 			break
 		}
-		if ticker != nil {
-			select {
-			case <-ticker.C:
-			case <-rctx.Done():
-			}
-		} else if !harvested {
+		if d == 0 && !harvested {
 			// Unpaced and nothing due (tail of a drain, or an idle
 			// fleet): yield instead of spinning the lock.
 			runtime.Gosched()
@@ -603,6 +671,80 @@ func (e *Engine) Run(ctx context.Context) error {
 func (e *Engine) wakeAll() {
 	for _, sh := range e.shards {
 		sh.q.wakeAll()
+	}
+}
+
+// sleepToward parks the wheel until the next tick, due at due, or past
+// it to the first of the following ticks that has work, at most one
+// rotation on. It returns how many idle ticks it slept past; a poke or
+// cancellation can end the sleep early, and Run re-plans on return.
+func (e *Engine) sleepToward(ctx context.Context, due time.Time, d time.Duration) int64 {
+	e.mu.Lock()
+	skip := e.idleTicksLocked()
+	e.idleSleep.Store(skip > 0)
+	e.mu.Unlock()
+	e.sleepUntil(ctx, due.Add(time.Duration(skip)*d))
+	e.idleSleep.Store(false)
+	return skip
+}
+
+// idleTicksLocked counts the ticks from the next one on that have
+// nothing to do — an empty slot, no staged batch waiting on a flush, no
+// parked capture, no boundary harvest owed to streams left behind —
+// capped so the wheel wakes at least once a rotation (mu held).
+func (e *Engine) idleTicksLocked() int64 {
+	if len(e.pendingCaptures) > 0 {
+		return 0
+	}
+	for _, st := range e.staging {
+		if len(st.entries) > 0 {
+			return 0
+		}
+	}
+	n := int64(len(e.slots))
+	t := e.tick.Load()
+	for i := int64(0); i < n-1; i++ {
+		slot := (t + i) % n
+		if len(e.slots[slot]) > 0 || slot == n-1 && len(e.behind) > 0 {
+			return i
+		}
+	}
+	return n - 1
+}
+
+// sleep is the real-clock sleepUntil.
+func (e *Engine) sleep(ctx context.Context, t time.Time) {
+	d := time.Until(t)
+	if d <= 0 {
+		return
+	}
+	if e.timer == nil {
+		e.timer = time.NewTimer(d)
+	} else {
+		e.timer.Reset(d)
+	}
+	select {
+	case <-e.timer.C:
+		return
+	case <-e.wheelWake:
+	case <-ctx.Done():
+	}
+	if !e.timer.Stop() {
+		select {
+		case <-e.timer.C:
+		default:
+		}
+	}
+}
+
+// noteLate books one paced tick running late past its deadline.
+func (e *Engine) noteLate(late time.Duration, catchUp bool) {
+	e.wheelLate.record(late, 1)
+	if us := late.Microseconds(); us > e.wheelLateMax.Load() {
+		e.wheelLateMax.Store(us)
+	}
+	if catchUp {
+		e.catchUpTicks.Add(1)
 	}
 }
 
@@ -657,7 +799,7 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 				if len(db.entries) == 0 {
 					db.rot, db.at = rot, now
 				}
-				db.entries = append(db.entries, entry{s: s, interval: s.horizon - 1, drain: true})
+				db.entries = append(db.entries, entry{s: s, interval: s.horizon - 1})
 				staged = true
 			}
 			keep = append(keep, h)
@@ -670,7 +812,7 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 			// writer hung up (or the engine is draining) and the shard
 			// has caught up; otherwise it simply isn't harvested this
 			// rotation.
-			if int64(s.qsrc.Pending()) <= s.inflight.Load() {
+			if !s.unclaimed() {
 				if (s.qsrc.Closed() || draining) && s.done.Load() >= srot {
 					s.finish()
 					e.pruneLocked(s)
@@ -680,6 +822,9 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 				continue
 			}
 			s.inflight.Add(1)
+			if s.unclaimed() {
+				e.behind = append(e.behind, h)
+			}
 		} else if draining && s.horizon == 0 {
 			// Unbounded pull stream under drain: stop at the next
 			// rotation boundary, once in-flight harvests have landed.
@@ -691,12 +836,7 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 			keep = append(keep, h)
 			continue
 		}
-		s.rot.Store(srot + 1)
-		st := e.staging[s.shardIdx]
-		if len(st.entries) == 0 {
-			st.rot, st.at = rot, now
-		}
-		st.entries = append(st.entries, entry{s: s, interval: int(srot)})
+		e.stageLocked(s, srot, rot, now)
 		staged = true
 		keep = append(keep, h)
 	}
@@ -740,6 +880,10 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 			any = true
 		}
 	}
+	if slot == int(nslots)-1 && len(e.behind) > 0 {
+		e.harvestBehind(ctx, rot)
+		any = true
+	}
 	if ckReq != nil {
 		e.publishMarkers(ctx, ckReq)
 		e.collectCkpt(ckReq)
@@ -750,6 +894,54 @@ func (e *Engine) tickOnce(ctx context.Context) bool {
 		any = true
 	}
 	return any
+}
+
+// stageLocked claims stream s's interval srot for the shard's staging
+// batch (mu held).
+func (e *Engine) stageLocked(s *stream, srot, rot int64, now time.Time) {
+	s.rot.Store(srot + 1)
+	st := e.staging[s.shardIdx]
+	if len(st.entries) == 0 {
+		st.rot, st.at = rot, now
+		// Every entry slice circulating through staging and the ring is
+		// sized here, once, for the largest batch the shard can form, so
+		// a catch-up burst never grows one mid-load.
+		if c := e.shards[s.shardIdx].batchCap(); cap(st.entries) < c {
+			st.entries = make([]entry, 0, c)
+		}
+	}
+	st.entries = append(st.entries, entry{s: s, interval: int(srot)})
+}
+
+// harvestBehind runs at the rotation boundary, after the flush, and
+// harvests once more every push-fed stream its own tick left with a
+// sample still unclaimed, in batches of their own (so no batch carries a
+// stream twice). A push-fed stream otherwise gets one harvest per
+// rotation — exactly its arrival rate — so a single sample released just
+// after its slot's tick would leave it a rotation late for good.
+func (e *Engine) harvestBehind(ctx context.Context, rot int64) {
+	now := time.Now()
+	e.mu.Lock()
+	for _, h := range e.behind {
+		s := streamAt(e.blocks, h)
+		st := e.staging[s.shardIdx]
+		srot := s.rot.Load()
+		if s.pruned || s.removed.Load() || s.finished.Load() ||
+			(s.horizon > 0 && srot >= int64(s.horizon)) ||
+			!s.unclaimed() ||
+			len(st.entries) > 0 && len(st.entries) == cap(st.entries) {
+			continue
+		}
+		s.inflight.Add(1)
+		e.stageLocked(s, srot, rot, now)
+	}
+	e.behind = e.behind[:0]
+	e.mu.Unlock()
+	for i, sh := range e.shards {
+		if len(e.staging[i].entries) > 0 {
+			e.flushStaging(ctx, sh)
+		}
+	}
 }
 
 // flushStaging hands a shard's staged batch to its ring: the ring

@@ -62,6 +62,9 @@ func (e *Engine) CaptureStates(ctx context.Context, ids []string) (map[string]co
 		}
 		req.wg.Add(len(e.shards))
 		e.pendingCaptures = append(e.pendingCaptures, req)
+		if e.idleSleep.Load() {
+			wake(e.wheelWake) // the capture rides the very next tick
+		}
 	}
 	e.mu.Unlock()
 

@@ -14,14 +14,12 @@ import (
 // entry is one stream's due interval inside a harvest batch. Streams
 // are recorded by pointer into the engine's slab blocks — resolved once
 // by the wheel under its lock; the shard never touches a map or the
-// block table.
+// block table. In a drain batch every entry is a tail repair: the shard
+// emits hold-last verdicts up through interval instead of reading the
+// source.
 type entry struct {
 	s        *stream
 	interval int
-	// drain marks a tail-repair entry for a stream whose final
-	// harvests were shed: the shard emits hold-last verdicts up
-	// through interval instead of reading the source.
-	drain bool
 }
 
 // batch is a coalesced span of wheel ticks' due streams for one shard
@@ -29,7 +27,8 @@ type entry struct {
 // rotation boundary, which the BeginObserve/CommitScore scratch
 // aliasing depends on), plus the two marker flavours that ride the same
 // ring so they stay ordered against normal work: drain batches (tail
-// repair, see entry.drain) and checkpoint markers (ckpt != nil).
+// repair for streams whose final harvests were shed, see entry) and
+// checkpoint markers (ckpt != nil).
 type batch struct {
 	rot     int64
 	at      time.Time
@@ -98,7 +97,8 @@ type shard struct {
 
 	// Scratch reused across batches: marks mirrors the entry slice,
 	// byStage[s] collects mark indices for stage s's one ScoreBatch
-	// pass, rows/scores are that pass's matrix and output.
+	// pass, rows/scores are that pass's matrix and output. All share one
+	// capacity, set by grow.
 	marks   []entryMark
 	byStage [][]int
 	rows    [][]float64
@@ -135,6 +135,29 @@ func newShard(e *Engine, idx int, tmpl *core.FallbackChain, cfg Config) *shard {
 		sh.batchers[i] = d.NewTierBatcher(cfg.tier())
 	}
 	return sh
+}
+
+// batchCap is the largest batch the shard is expected to receive: a
+// batch spans at most maxTicks wheel ticks and carries each stream at
+// most once, so it holds no more than maxTicks slots' worth of the
+// shard's live streams; an eighth on top absorbs uneven slot fill.
+func (sh *shard) batchCap() int {
+	live := int(sh.liveStreams.Load())
+	slots := len(sh.e.slots)
+	c := sh.e.maxTicks * ((live + slots - 1) / slots)
+	return min(live, c+c/8)
+}
+
+// grow resizes the per-batch scratch for a batch of n entries, to at
+// least batchCap so batches of the expected size never regrow it.
+func (sh *shard) grow(n int) {
+	c := max(n, sh.batchCap())
+	sh.marks = make([]entryMark, c)
+	sh.rows = make([][]float64, 0, c)
+	sh.scores = make([]float64, c)
+	for st := range sh.byStage {
+		sh.byStage[st] = make([]int, 0, c)
+	}
 }
 
 // run is the shard worker loop.
@@ -202,79 +225,25 @@ func (sh *shard) process(ctx context.Context, b *batch) {
 	sh.emitN, sh.lostN = 0, 0
 	n := len(b.entries)
 	if cap(sh.marks) < n {
-		sh.marks = make([]entryMark, n)
+		sh.grow(n)
 	}
 	sh.marks = sh.marks[:n]
 	for st := range sh.byStage {
 		sh.byStage[st] = sh.byStage[st][:0]
 	}
 	for i := range b.entries {
-		en := &b.entries[i]
-		s := en.s
-		m := &sh.marks[i]
-		m.kind = markSkip
-		if s.qsrc != nil && !en.drain {
+		ok := sh.gather(ctx, b, i)
+		if s := b.entries[i].s; s.qsrc != nil && !b.drain {
 			// The wheel claimed one pending sample when it staged this
-			// entry; release the claim whatever becomes of it.
+			// entry. The claim is released only now, after gather's read
+			// has popped the sample: released before it, the wheel could
+			// count the sample as unclaimed and claim it a second time.
 			s.inflight.Add(-1)
 		}
-		if s.removed.Load() {
-			continue
-		}
-		done := int(s.done.Load())
-		if en.interval < done {
-			continue // already repaired past this interval by a drain
-		}
-		for ; done < en.interval; done++ {
-			sh.emitLost(s)
-		}
-		if en.drain {
-			sh.emitLost(s)
-			continue
-		}
-		if !s.br.Allow() {
-			sh.emitLost(s)
-			continue
-		}
-		var vals []uint64
-		var err error
-		if s.bsrc != nil {
-			vals, err = s.bsrc.ReadInto(ctx, en.interval, sh.readBuf)
-		} else {
-			vals, err = s.src.Read(ctx, en.interval)
-		}
-		switch {
-		case err == nil:
-			s.br.OnSuccess()
-		case errors.Is(err, source.ErrSampleLost):
-			sh.emitLost(s)
-			continue
-		case ctx.Err() != nil:
+		if !ok {
 			// Shutting down mid-batch: abandon the remaining entries.
 			sh.flushCounts(b)
 			return
-		default:
-			s.srcFails.Add(1)
-			s.br.OnFailure(err)
-			sh.emitLost(s)
-			continue
-		}
-		if len(vals) != sh.width {
-			s.badFrames.Add(1)
-			sh.emitLost(s)
-			continue
-		}
-		stage, x, oerr := s.chain.BeginObserve(vals)
-		if oerr != nil {
-			s.badFrames.Add(1)
-			sh.emitLost(s)
-			continue
-		}
-		m.kind = markScore
-		m.stage = stage
-		m.x = x
-		if stage < len(sh.batchers) {
-			sh.byStage[stage] = append(sh.byStage[stage], i)
 		}
 	}
 
@@ -291,9 +260,6 @@ func (sh *shard) process(ctx context.Context, b *batch) {
 			rows = append(rows, sh.marks[i].x)
 		}
 		sh.rows = rows
-		if cap(sh.scores) < len(idxs) {
-			sh.scores = make([]float64, len(idxs))
-		}
 		out := sh.scores[:len(idxs)]
 		sh.batchers[st].ScoreBatch(rows, out)
 		for k, i := range idxs {
@@ -318,6 +284,74 @@ func (sh *shard) process(ctx context.Context, b *batch) {
 	sh.flushCounts(b)
 	sh.batches.Add(1)
 	sh.lastRot.Store(b.rot)
+}
+
+// gather handles entry i of a harvest batch: it repairs any done-gap
+// with hold-last verdicts, reads the source, and runs BeginObserve to
+// collect the active stage's feature vector, recording the outcome in
+// sh.marks[i]. It reports false when ctx was cancelled mid-read.
+func (sh *shard) gather(ctx context.Context, b *batch, i int) bool {
+	en := &b.entries[i]
+	s := en.s
+	m := &sh.marks[i]
+	m.kind = markSkip
+	if s.removed.Load() {
+		return true
+	}
+	done := int(s.done.Load())
+	if en.interval < done {
+		return true // already repaired past this interval by a drain
+	}
+	for ; done < en.interval; done++ {
+		sh.emitLost(s)
+	}
+	if b.drain {
+		sh.emitLost(s)
+		return true
+	}
+	if !s.br.Allow() {
+		sh.emitLost(s)
+		return true
+	}
+	var vals []uint64
+	var err error
+	if s.bsrc != nil {
+		vals, err = s.bsrc.ReadInto(ctx, en.interval, sh.readBuf)
+	} else {
+		vals, err = s.src.Read(ctx, en.interval)
+	}
+	switch {
+	case err == nil:
+		s.br.OnSuccess()
+	case errors.Is(err, source.ErrSampleLost):
+		sh.emitLost(s)
+		return true
+	case ctx.Err() != nil:
+		return false
+	default:
+		s.srcFails.Add(1)
+		s.br.OnFailure(err)
+		sh.emitLost(s)
+		return true
+	}
+	if len(vals) != sh.width {
+		s.badFrames.Add(1)
+		sh.emitLost(s)
+		return true
+	}
+	stage, x, oerr := s.chain.BeginObserve(vals)
+	if oerr != nil {
+		s.badFrames.Add(1)
+		sh.emitLost(s)
+		return true
+	}
+	m.kind = markScore
+	m.stage = stage
+	m.x = x
+	if stage < len(sh.batchers) {
+		sh.byStage[stage] = append(sh.byStage[stage], i)
+	}
+	return true
 }
 
 // flushCounts folds the batch's local verdict counters into the shared

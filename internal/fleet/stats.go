@@ -100,6 +100,15 @@ type LagBucket struct {
 	Count      int64
 }
 
+// WheelLateness summarises the paced wheel's tick lateness in
+// microseconds: P50/P99 are histogram upper bounds (≤12.5% relative
+// error), Max is exact.
+type WheelLateness struct {
+	P50Micros float64
+	P99Micros float64
+	MaxMicros float64
+}
+
 // StreamSnapshot is the externally visible state of one monitored
 // stream.
 type StreamSnapshot struct {
@@ -181,7 +190,15 @@ type Snapshot struct {
 	ShedIntervals      int64
 	CheckpointsWritten int64
 	CheckpointErrors   int64
-	Shards             []ShardSnapshot
+	// WheelLate is how far past its deadline each paced wheel tick ran
+	// (all zero when unpaced). A wheel that keeps its cadence stays near
+	// the timer's wake-up slack; a growing p99 or max means it is falling
+	// behind and catching up.
+	WheelLate WheelLateness
+	// CatchUpTicks counts ticks the wheel ran back to back, without
+	// sleeping, because it woke after their deadline.
+	CatchUpTicks int64
+	Shards       []ShardSnapshot
 	// PerStream is populated only when requested (Stats(true) or
 	// StatsPage); at fleet scale the aggregate is the cheap default.
 	// PerStreamTotal/PerStreamOffset frame a StatsPage window against
@@ -219,7 +236,16 @@ func (e *Engine) statsPage(offset, limit int, includeStreams bool) Snapshot {
 		LostVerdicts:       e.lostCount.Load(),
 		CheckpointsWritten: e.ckptOK.Load(),
 		CheckpointErrors:   e.ckptErr.Load(),
+		CatchUpTicks:       e.catchUpTicks.Load(),
 		Shards:             make([]ShardSnapshot, len(e.shards)),
+	}
+	var counts [latHistBuckets]int64
+	if total := e.wheelLate.snapshot(&counts); total > 0 {
+		snap.WheelLate = WheelLateness{
+			P50Micros: quantile(&counts, total, 0.50),
+			P99Micros: quantile(&counts, total, 0.99),
+			MaxMicros: float64(e.wheelLateMax.Load()),
+		}
 	}
 
 	// One short critical section for the block-table header; everything
@@ -232,7 +258,6 @@ func (e *Engine) statsPage(offset, limit int, includeStreams bool) Snapshot {
 	snap.Streams = nstreams
 	snap.Live = live
 
-	var counts [latHistBuckets]int64
 	for i, sh := range e.shards {
 		ss := &snap.Shards[i]
 		ss.Streams = int(sh.liveStreams.Load())

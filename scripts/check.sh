@@ -85,3 +85,8 @@ go test -race ./internal/cluster
 # bit-identical to a single-node reference) plus the 3-process cluster
 # bench smoke, both in short mode under -race.
 go test -race -run 'TestClusterChaos|TestClusterBenchSmoke' -short ./internal/experiments
+# Paced 10 ms benchmark (its own module under bench/, so the root
+# ./... never builds it): vet, plus the short smoke that runs all four
+# workloads for half a second each and gates every checked stream's
+# verdicts bit for bit against a sequential reference replay.
+(cd bench && go vet ./... && go test -short ./...)
