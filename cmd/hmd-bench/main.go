@@ -4,17 +4,13 @@
 //
 // Usage:
 //
-//	hmd-bench [-exp all|table1|figure3|table2|figure4|figure5|table3|robustness|chaos|perf|quant|fleet|ingest|claims]
+//	hmd-bench [-exp all|table1|figure3|table2|figure4|figure5|table3|extensions|robustness|chaos|perf|quant|fleet|ingest|cluster|claims]
 //	          [-perf-only family[:tier]]
 //	          [-apps N] [-intervals N] [-seed N]
-//	          [-capacity] [-capacityms N]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
-// -capacity extends -exp ingest and -exp cluster with the unpaced
-// wire-capacity measurement: clients blast the socket as fast as it
-// admits, once over the legacy single-frame protocol and once batched,
-// and the reports gain max samples/s, syscalls/sample, p99 verdict
-// latency and the batched/unbatched speedup.
+// Wire throughput and per-verdict cost are measured by the paced 10 ms
+// benchmark in bench/ (sh bench/run.sh), not here.
 //
 // -perf-only times a single detector family under one inference tier
 // (e.g. -perf-only mlp:quantized) and exits — a seconds-long probe for
@@ -66,8 +62,6 @@ func main() {
 	clusterOut := flag.String("clusterout", "BENCH_CLUSTER.json", "output path of the -exp cluster report")
 	clusterNodes := flag.String("clusternodes", "", "comma-separated node counts for -exp cluster (default 2,3,4,6,8)")
 	clusterSamples := flag.Int("clustersamples", 0, "samples per stream for -exp cluster (default 150)")
-	capacity := flag.Bool("capacity", false, "add the unpaced wire-capacity measurement (batched vs unbatched) to -exp ingest and -exp cluster")
-	capacityMillis := flag.Int("capacityms", 0, "blast window per -capacity point in ms (default 600)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit (pprof format)")
 	flag.Parse()
@@ -107,11 +101,7 @@ func main() {
 	clusterPath = *clusterOut
 	ingestCfg.Streams = *ingestStreams
 	ingestCfg.Samples = *ingestSamples
-	ingestCfg.Capacity = *capacity
-	ingestCfg.CapacityMillis = *capacityMillis
 	clusterCfg.Samples = *clusterSamples
-	clusterCfg.Capacity = *capacity
-	clusterCfg.CapacityMillis = *capacityMillis
 	fleetCfg.Intervals = *fleetIntervals
 	if *fleetStreams != "" {
 		counts, err := parseCounts(*fleetStreams)

@@ -62,7 +62,6 @@
 //	          (limit=-1 returns everything from offset). In ingest mode
 //	          additionally the ingest-plane counters
 //	/drainz   POST: start a graceful ingest drain (ingest mode only)
-//	/ingest/...  debug JSON ingest surface (ingest mode only)
 //	/debug/pprof/...  Go profiling endpoints (only with -pprof)
 //
 // The service is deterministic per seed: faults, crashes, breaker
@@ -831,17 +830,16 @@ func parseCounts(s string) ([]int, error) {
 // mutex-guarded; the HTTP handlers only ever read snapshots, so scraping
 // never perturbs the pipeline.
 type service struct {
-	mu      sync.Mutex
-	ready   bool
-	app     string
-	loop    int
-	pipe    *supervise.Pipeline
-	fleet   *fleet.Engine
-	ingest  *ingest.Server
-	ingestH http.Handler
-	coord   *cluster.Coordinator
-	agent   *cluster.Agent
-	live    *collect.LiveReport
+	mu     sync.Mutex
+	ready  bool
+	app    string
+	loop   int
+	pipe   *supervise.Pipeline
+	fleet  *fleet.Engine
+	ingest *ingest.Server
+	coord  *cluster.Coordinator
+	agent  *cluster.Agent
+	live   *collect.LiveReport
 }
 
 func newService() *service {
@@ -870,14 +868,14 @@ func (s *service) setFleet(e *fleet.Engine) {
 
 func (s *service) setIngest(is *ingest.Server) {
 	s.mu.Lock()
-	s.ingest, s.ingestH = is, is.Handler()
+	s.ingest = is
 	s.mu.Unlock()
 }
 
-func (s *service) getIngest() (*ingest.Server, http.Handler) {
+func (s *service) getIngest() *ingest.Server {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ingest, s.ingestH
+	return s.ingest
 }
 
 func (s *service) setCoordinator(c *cluster.Coordinator) {
@@ -1013,21 +1011,13 @@ func (s *service) serveHTTP(addr string, pprofOn bool) func() {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		ing, _ := s.getIngest()
+		ing := s.getIngest()
 		if ing == nil {
 			http.Error(w, "no ingest plane", http.StatusNotFound)
 			return
 		}
 		ing.Drain("operator /drainz")
 		fmt.Fprintln(w, "draining")
-	})
-	mux.HandleFunc("/ingest/", func(w http.ResponseWriter, r *http.Request) {
-		_, h := s.getIngest()
-		if h == nil {
-			http.Error(w, "no ingest plane", http.StatusNotFound)
-			return
-		}
-		h.ServeHTTP(w, r)
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		// The per-stream section is opt-in and paginated: a fleet at

@@ -47,10 +47,6 @@ type DialStats struct {
 	Redirects int // REDIRECT frames followed
 	Retries   int // RETRY frames backed off from
 	Rotations int // bootstrap rotations after DRAIN/transport errors
-	// Batching reports the admitting node negotiated batch framing
-	// (HELLO v2+): Queue/Flush on the returned client pack many
-	// samples behind one header + CRC.
-	Batching bool
 }
 
 // Dial connects a stream to whichever node owns it: it follows
@@ -81,7 +77,6 @@ func Dial(cfg DialConfig) (*ingest.Client, DialStats, error) {
 		}
 		c, err := ingest.Dial(ingest.ClientConfig{Addr: target, Hello: cfg.Hello, Timeout: cfg.Timeout})
 		if err == nil {
-			st.Batching = c.Batching()
 			return c, st, nil
 		}
 		lastErr = err

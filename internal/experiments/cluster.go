@@ -730,13 +730,6 @@ type ClusterBenchConfig struct {
 	Interval time.Duration
 	// Seed drives dial jitter.
 	Seed uint64
-	// Capacity adds the unpaced wire-capacity measurement against the
-	// smallest swept cluster: cluster-dialled clients blast batched vs
-	// unbatched (protocol v1) and the report records the aggregate
-	// admission rate and syscall cost of each.
-	Capacity bool
-	// CapacityMillis is the blast window per capacity point (default 600).
-	CapacityMillis int
 }
 
 func (c ClusterBenchConfig) nodeCounts() []int {
@@ -767,13 +760,6 @@ func (c ClusterBenchConfig) interval() time.Duration {
 	return time.Millisecond
 }
 
-func (c ClusterBenchConfig) capacityWindow() time.Duration {
-	if c.CapacityMillis > 0 {
-		return time.Duration(c.CapacityMillis) * time.Millisecond
-	}
-	return 600 * time.Millisecond
-}
-
 // ClusterPoint is one cluster size's measurement.
 type ClusterPoint struct {
 	Nodes           int
@@ -786,33 +772,6 @@ type ClusterPoint struct {
 	Rotations       int
 }
 
-// ClusterCapacityPoint is one unpaced blast through cluster-aware
-// dials, aggregated across every node's ingest server.
-type ClusterCapacityPoint struct {
-	Batched           bool
-	Sent              int64
-	Accepted          int64
-	Shed              int64
-	SamplesPerSec     float64 // accepted / send window
-	VerdictsPerSec    float64
-	ClientWrites      int64
-	ServerWrites      int64
-	SyscallsPerSample float64
-	SampleBatches     int64
-	VerdictBatches    int64
-}
-
-// ClusterCapacity pairs the batched and unbatched blast points for the
-// smallest swept cluster size.
-type ClusterCapacity struct {
-	Nodes          int
-	Streams        int
-	DurationMillis float64
-	Unbatched      ClusterCapacityPoint
-	Batched        ClusterCapacityPoint
-	Speedup        float64
-}
-
 // ClusterReport is the scaling sweep, serialized to BENCH_CLUSTER.json
 // by hmd-bench -exp cluster.
 type ClusterReport struct {
@@ -822,8 +781,6 @@ type ClusterReport struct {
 	Samples        int
 	IntervalMillis float64
 	Points         []ClusterPoint
-	// Capacity is present when the bench ran with -capacity.
-	Capacity *ClusterCapacity `json:",omitempty"`
 }
 
 // ClusterBench sweeps cluster sizes: each point stands up a coordinator
@@ -857,283 +814,7 @@ func (ctx *Context) ClusterBench(cfg ClusterBenchConfig) (*ClusterReport, error)
 		}
 		rep.Points = append(rep.Points, pt)
 	}
-	if cfg.Capacity {
-		cap, err := clusterCapacity(cfg, replicate, rep.Width)
-		if err != nil {
-			return nil, err
-		}
-		rep.Capacity = cap
-	}
 	return rep, nil
-}
-
-// clusterCapacity blasts two freshly built clusters of identical
-// topology — protocol v1 then batched — so the two points compare wire
-// formats alone. Each pass stands up its own coordinator and nodes: a
-// fleet engine drains itself once every stream it ever admitted
-// finishes, so reusing nodes across passes would hand the second pass
-// dead engines that admit samples but never score them.
-func clusterCapacity(cfg ClusterBenchConfig, replicate func() (*core.FallbackChain, error),
-	width int) (*ClusterCapacity, error) {
-	k := cfg.nodeCounts()[0]
-	cap := &ClusterCapacity{
-		Nodes:          k,
-		Streams:        k * cfg.streamsPerNode(),
-		DurationMillis: durMillis(cfg.capacityWindow()),
-	}
-	var err error
-	if cap.Unbatched, err = clusterCapacityRun(cfg, replicate, width, k, cap.Streams, false); err != nil {
-		return nil, err
-	}
-	if cap.Batched, err = clusterCapacityRun(cfg, replicate, width, k, cap.Streams, true); err != nil {
-		return nil, err
-	}
-	if cap.Unbatched.SamplesPerSec > 0 {
-		cap.Speedup = cap.Batched.SamplesPerSec / cap.Unbatched.SamplesPerSec
-	}
-	return cap, nil
-}
-
-// clusterNodeTotals sums the wire counters across every node's server.
-func clusterNodeTotals(nodes []*cluster.Node) ingest.Stats {
-	var sum ingest.Stats
-	for _, nd := range nodes {
-		st := nd.Server().StatsSnapshot(false)
-		sum.SamplesAccepted += st.SamplesAccepted
-		sum.SamplesShed += st.SamplesShed
-		sum.Verdicts += st.Verdicts
-		sum.VerdictsAttributed += st.VerdictsAttributed
-		sum.WriteSyscalls += st.WriteSyscalls
-		sum.SampleBatches += st.SampleBatches
-		sum.VerdictBatches += st.VerdictBatches
-	}
-	return sum
-}
-
-// clusterCapacityRun stands up one fresh cluster, dials every stream,
-// then blasts them all until the window closes. The dial barrier
-// matters: a stream is registered with a node's fleet engine at HELLO,
-// and an engine whose every admitted stream has finished drains itself
-// — so every dial must land before any stream can BYE, or a straggler
-// could be admitted by a node whose engine already exited.
-func clusterCapacityRun(cfg ClusterBenchConfig, replicate func() (*core.FallbackChain, error),
-	width, k, nStreams int, batched bool) (ClusterCapacityPoint, error) {
-	pt := ClusterCapacityPoint{Batched: batched}
-	mode := "u"
-	if batched {
-		mode = "b"
-	}
-	coord := cluster.NewCoordinator(cluster.CoordinatorConfig{LeaseTTL: 2 * time.Second})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, fmt.Errorf("cluster capacity: coordinator listen: %w", err)
-	}
-	go coord.Serve(ln)
-	defer coord.Close()
-	nodes := make([]*cluster.Node, k)
-	defer func() {
-		for _, nd := range nodes {
-			if nd != nil {
-				nd.Close()
-			}
-		}
-	}()
-	for i := range nodes {
-		nd, err := cluster.StartNode(cluster.NodeConfig{
-			ID:          fmt.Sprintf("cap%s%d", mode, i),
-			Coordinator: ln.Addr().String(),
-			Fleet: fleet.Config{
-				NewChain:   replicate,
-				Shards:     2,
-				WheelSlots: 4,
-				Interval:   cfg.interval(),
-				Policy:     supervise.Block,
-			},
-			Width:          width,
-			HeartbeatEvery: 250 * time.Millisecond,
-			StatesEvery:    -1,
-			Seed:           cfg.Seed + uint64(i),
-		})
-		if err != nil {
-			return pt, fmt.Errorf("cluster capacity: node cap%s%d: %w", mode, i, err)
-		}
-		nodes[i] = nd
-	}
-	if err := clusterWait("capacity membership", 15*time.Second, func() bool {
-		if coord.Stats().Placed != k {
-			return false
-		}
-		// The first joiner routes by a one-member ring until its next
-		// heartbeat; wait for every node's view to converge so no blast
-		// stream is admitted by a non-owner.
-		v := coord.Stats().RingVersion
-		for _, nd := range nodes {
-			if nd.Agent().Stats().RingVersion != v {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return pt, err
-	}
-	bootstrap := func() []string {
-		out := make([]string, 0, k)
-		for _, nd := range nodes {
-			out = append(out, nd.Addr())
-		}
-		return out
-	}
-	before := clusterNodeTotals(nodes)
-	var (
-		dialWG, wg sync.WaitGroup
-		blastGo    = make(chan struct{})
-		deadline   time.Time // written before close(blastGo)
-		mu         sync.Mutex
-		sendWall   time.Duration
-	)
-	errs := make(chan error, nStreams)
-	dialWG.Add(nStreams)
-	for i := 0; i < nStreams; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := clusterCapacityDial(bootstrap, cfg.Seed, width, i, mode, batched)
-			dialWG.Done()
-			if err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-				<-blastGo
-				return
-			}
-			defer c.Close()
-			<-blastGo
-			sent, writes, sdur, err := clusterCapacityBlast(c, width, i, mode, batched, deadline)
-			mu.Lock()
-			pt.Sent += sent
-			pt.ClientWrites += writes
-			if sdur > sendWall {
-				sendWall = sdur
-			}
-			mu.Unlock()
-			if err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}(i)
-	}
-	dialWG.Wait()
-	start := time.Now()
-	deadline = start.Add(cfg.capacityWindow())
-	close(blastGo)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return pt, fmt.Errorf("cluster capacity: %w", err)
-	default:
-	}
-	// Streams said BYE; wait for each node to settle its ledger before
-	// diffing counters (accepted == attributed + shed, nothing silent).
-	if err := clusterWait("capacity settle", 30*time.Second, func() bool {
-		d := clusterNodeTotals(nodes)
-		return d.SamplesAccepted-before.SamplesAccepted ==
-			(d.VerdictsAttributed-before.VerdictsAttributed)+(d.SamplesShed-before.SamplesShed)
-	}); err != nil {
-		d := clusterNodeTotals(nodes)
-		detail := ""
-		for _, nd := range nodes {
-			for _, ss := range nd.Server().StatsSnapshot(true).PerStream {
-				detail += fmt.Sprintf(" [%s acc=%d att=%d shed=%d pend=%d held=%d verd=%d next=%d]",
-					ss.Key, ss.Accepted, ss.Attributed, ss.RingShed, ss.Pending, ss.Held, ss.Verdicts, ss.NextSeq)
-			}
-		}
-		return pt, fmt.Errorf("%w (accepted %d, attributed %d, shed %d)%s", err,
-			d.SamplesAccepted-before.SamplesAccepted,
-			d.VerdictsAttributed-before.VerdictsAttributed,
-			d.SamplesShed-before.SamplesShed, detail)
-	}
-	wall := time.Since(start)
-	after := clusterNodeTotals(nodes)
-	pt.Accepted = after.SamplesAccepted - before.SamplesAccepted
-	pt.Shed = after.SamplesShed - before.SamplesShed
-	pt.ServerWrites = after.WriteSyscalls - before.WriteSyscalls
-	pt.SampleBatches = after.SampleBatches - before.SampleBatches
-	pt.VerdictBatches = after.VerdictBatches - before.VerdictBatches
-	if sendWall <= 0 {
-		sendWall = wall
-	}
-	pt.SamplesPerSec = float64(pt.Accepted) / sendWall.Seconds()
-	pt.VerdictsPerSec = float64(after.Verdicts-before.Verdicts) / wall.Seconds()
-	if pt.Accepted > 0 {
-		pt.SyscallsPerSample = float64(pt.ClientWrites+pt.ServerWrites) / float64(pt.Accepted)
-	}
-	return pt, nil
-}
-
-// clusterCapacityDial lands one capacity stream on its owner and checks
-// the negotiated wire format.
-func clusterCapacityDial(bootstrap func() []string, seed uint64, width, sid int,
-	mode string, batched bool) (*ingest.Client, error) {
-	hello := ingest.Hello{Width: width, Tenant: "cap", Stream: fmt.Sprintf("%s%d", mode, sid)}
-	if !batched {
-		hello.Version = 1
-	}
-	c, st, err := cluster.Dial(cluster.DialConfig{
-		Bootstrap: bootstrap,
-		Hello:     hello,
-		Timeout:   30 * time.Second,
-		Seed:      seed + uint64(sid),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st.Batching != batched {
-		c.Close()
-		return nil, fmt.Errorf("%s%d: negotiated batching %v, want %v", mode, sid, st.Batching, batched)
-	}
-	return c, nil
-}
-
-// clusterCapacityBlast pushes one dialled stream flat-out until the
-// deadline, then BYEs and drains to the finish notice.
-func clusterCapacityBlast(c *ingest.Client, width, sid int,
-	mode string, batched bool, deadline time.Time) (int64, int64, time.Duration, error) {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			if _, err := c.Next(); err != nil {
-				return
-			}
-		}
-	}()
-	start := time.Now()
-	buf := make([]uint64, width)
-	var seq uint32
-	var err error
-	for time.Now().Before(deadline) {
-		if batched {
-			err = c.Queue(seq, clusterVals(sid, seq, buf))
-		} else {
-			err = c.Send(seq, clusterVals(sid, seq, buf))
-		}
-		if err != nil {
-			return int64(seq), c.WriteCalls(), 0, fmt.Errorf("%s%d send %d: %w", mode, sid, seq, err)
-		}
-		seq++
-	}
-	if err := c.Flush(); err != nil {
-		return int64(seq), c.WriteCalls(), 0, fmt.Errorf("%s%d flush: %w", mode, sid, err)
-	}
-	sdur := time.Since(start)
-	if err := c.Bye(); err != nil {
-		return int64(seq), c.WriteCalls(), sdur, fmt.Errorf("%s%d BYE: %w", mode, sid, err)
-	}
-	<-done
-	return int64(seq), c.WriteCalls(), sdur, nil
 }
 
 func clusterBenchPoint(cfg ClusterBenchConfig, replicate func() (*core.FallbackChain, error),
@@ -1289,20 +970,6 @@ func RenderCluster(r *ClusterReport) string {
 	for _, p := range r.Points {
 		fmt.Fprintf(&sb, "  %5d   %7d   %11.0f   %10.0f   %9d   %7.0f\n",
 			p.Nodes, p.Streams, p.IntervalsPerSec, p.PerNodePerSec, p.Redirects, p.WallMillis)
-	}
-	if c := r.Capacity; c != nil {
-		fmt.Fprintf(&sb, "Cluster wire capacity (%d nodes, %d streams x %.0fms blast):\n",
-			c.Nodes, c.Streams, c.DurationMillis)
-		sb.WriteString("  mode        samples/s   verdicts/s   syscalls/sample   shed\n")
-		for _, p := range []ClusterCapacityPoint{c.Unbatched, c.Batched} {
-			mode := "unbatched"
-			if p.Batched {
-				mode = "batched"
-			}
-			fmt.Fprintf(&sb, "  %-9s   %9.0f   %10.0f   %15.4f   %d\n",
-				mode, p.SamplesPerSec, p.VerdictsPerSec, p.SyscallsPerSample, p.Shed)
-		}
-		fmt.Fprintf(&sb, "  batched/unbatched samples/s speedup: %.1fx\n", c.Speedup)
 	}
 	return sb.String()
 }

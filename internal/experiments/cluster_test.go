@@ -108,44 +108,3 @@ func TestClusterBenchSmoke(t *testing.T) {
 		t.Errorf("RenderCluster output malformed:\n%s", out)
 	}
 }
-
-// TestClusterCapacitySmoke blasts a 2-node cluster briefly in both wire
-// formats and checks the structural claims: exact settled accounting,
-// batching negotiated only on the batched pass, and batch frames
-// actually on the wire.
-func TestClusterCapacitySmoke(t *testing.T) {
-	ctx := testContext(t)
-	rep, err := ctx.ClusterBench(ClusterBenchConfig{
-		NodeCounts:     []int{2},
-		StreamsPerNode: 2,
-		Samples:        20,
-		Seed:           7,
-		Capacity:       true,
-		CapacityMillis: 150,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rep.Capacity
-	if c == nil {
-		t.Fatal("capacity mode produced no capacity section")
-	}
-	if c.Nodes != 2 || c.Streams != 4 {
-		t.Fatalf("unexpected shape: %+v", c)
-	}
-	if c.Unbatched.SampleBatches != 0 {
-		t.Errorf("unbatched pass decoded batch frames: %+v", c.Unbatched)
-	}
-	if c.Batched.SampleBatches == 0 {
-		t.Error("batched pass decoded no SAMPLE_BATCH frames")
-	}
-	for _, p := range []ClusterCapacityPoint{c.Unbatched, c.Batched} {
-		if p.Accepted == 0 || p.SamplesPerSec <= 0 {
-			t.Errorf("capacity point admitted nothing: %+v", p)
-		}
-	}
-	out := RenderCluster(rep)
-	if !strings.Contains(out, "Cluster wire capacity") || !strings.Contains(out, "speedup") {
-		t.Errorf("RenderCluster missing capacity section:\n%s", out)
-	}
-}

@@ -112,10 +112,6 @@ type DensityPoint struct {
 	// QuantSpeedupX is quantized over compiled fleet throughput — the
 	// fleet-level win from the fixed-point tier.
 	QuantSpeedupX float64
-	// MaxStreams10ms is how many 10 ms streams the better tier's
-	// throughput covers (intervals/sec ÷ 100) — the node's density
-	// ceiling at this batch mix.
-	MaxStreams10ms int
 }
 
 // FleetReport is the fleet-serving benchmark, serialized to
@@ -254,11 +250,6 @@ func (ctx *Context) Fleet(cfg FleetBenchConfig) (*FleetReport, error) {
 				}
 			}
 			dp.QuantSpeedupX = quant / comp
-			best := comp
-			if quant > best {
-				best = quant
-			}
-			dp.MaxStreams10ms = int(best / 100)
 			rep.Density = append(rep.Density, dp)
 		}
 	}
@@ -385,11 +376,11 @@ func RenderFleet(r *FleetReport) string {
 	if len(r.Density) > 0 {
 		fmt.Fprintf(&sb, "Stream-density sweep (%s; compiled vs quantized)\n",
 			strings.Join(r.DensityChain, " -> "))
-		sb.WriteString("  streams   compiled iv/s   quant iv/s   quant win   p999 c/q us   max 10ms streams\n")
+		sb.WriteString("  streams   compiled iv/s   quant iv/s   quant win   p999 c/q us\n")
 		for _, p := range r.Density {
-			fmt.Fprintf(&sb, "  %7d   %13.0f   %10.0f   %8.2fx   %5.0f/%-5.0f   %16d\n",
+			fmt.Fprintf(&sb, "  %7d   %13.0f   %10.0f   %8.2fx   %5.0f/%-5.0f\n",
 				p.Streams, p.CompiledIntervalsPerSec, p.QuantizedIntervalsPerSec,
-				p.QuantSpeedupX, p.CompiledP999Micros, p.QuantizedP999Micros, p.MaxStreams10ms)
+				p.QuantSpeedupX, p.CompiledP999Micros, p.QuantizedP999Micros)
 		}
 	}
 	if p := r.Paced; p != nil {

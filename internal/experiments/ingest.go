@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -59,11 +57,6 @@ type IngestChaosConfig struct {
 	Plan faults.WirePlan
 	// CheckpointDir hosts the drain/restart drill's fleet checkpoints.
 	CheckpointDir string
-	// Batch makes the clean and crash clients use the batched wire path
-	// (Queue/Flush, SAMPLE_BATCH frames): the drill's contracts —
-	// gap-free, bit-identical, exact accounting — must hold identically
-	// under batch framing.
-	Batch bool
 }
 
 func (c *IngestChaosConfig) fill() {
@@ -248,8 +241,11 @@ func ingestUp(cfg IngestChaosConfig, replicate func() (*core.FallbackChain, erro
 // ingestCleanPhase plays one stream segment by the book: dial, verify
 // the resume position, send [from,to), read every verdict back, and
 // optionally end the stream with BYE (collecting any final echoes
-// before the server's finish notice).
-func ingestCleanPhase(addr, name string, sid, width int, from, to uint32, bye, batch bool) ([]ingest.Verdict, bool, error) {
+// before the server's finish notice). The stream index picks the
+// client shape, so one pass covers both: even streams Send each sample
+// as a batch of one, odd ones Queue the whole segment and Flush once.
+func ingestCleanPhase(addr, name string, sid, width int, from, to uint32, bye bool) ([]ingest.Verdict, bool, error) {
+	batch := sid%2 == 1
 	c, err := ingest.Dial(ingest.ClientConfig{
 		Addr:  addr,
 		Hello: ingest.Hello{Width: width, Tenant: ingestDrillTenant, Stream: name},
@@ -308,15 +304,15 @@ func ingestCleanPhase(addr, name string, sid, width int, from, to uint32, bye, b
 // ingestCrashPhase is the crash/reconnect client: it hangs up without
 // BYE halfway through the segment, re-dials, and must be resumed at
 // the server's authoritative position.
-func ingestCrashPhase(addr, name string, sid, width int, from, to uint32, batch bool) ([]ingest.Verdict, bool, error) {
+func ingestCrashPhase(addr, name string, sid, width int, from, to uint32) ([]ingest.Verdict, bool, error) {
 	mid := from + (to-from)/2
-	got1, ok1, err := ingestCleanPhase(addr, name, sid, width, from, mid, false, batch)
+	got1, ok1, err := ingestCleanPhase(addr, name, sid, width, from, mid, false)
 	if err != nil {
 		return got1, ok1, err
 	}
 	// ingestCleanPhase's deferred Close IS the crash: no BYE, socket
 	// dropped with the stream mid-flight.
-	got2, ok2, err := ingestCleanPhase(addr, name, sid, width, mid, to, false, batch)
+	got2, ok2, err := ingestCleanPhase(addr, name, sid, width, mid, to, false)
 	return append(got1, got2...), ok1 && ok2, err
 }
 
@@ -478,7 +474,7 @@ func ingestPass(cfg IngestChaosConfig, replicate func() (*core.FallbackChain, er
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got, ok, err := ingestCleanPhase(addr, names[i], i, width, from, to, bye, cfg.Batch)
+				got, ok, err := ingestCleanPhase(addr, names[i], i, width, from, to, bye)
 				echoed[i] = append(echoed[i], got...)
 				if !ok {
 					resumeOK[i] = false
@@ -495,9 +491,9 @@ func ingestPass(cfg IngestChaosConfig, replicate func() (*core.FallbackChain, er
 			var ok bool
 			var err error
 			if bye {
-				got, ok, err = ingestCleanPhase(addr, names[crashID], crashID, width, from, to, true, cfg.Batch)
+				got, ok, err = ingestCleanPhase(addr, names[crashID], crashID, width, from, to, true)
 			} else {
-				got, ok, err = ingestCrashPhase(addr, names[crashID], crashID, width, from, to, cfg.Batch)
+				got, ok, err = ingestCrashPhase(addr, names[crashID], crashID, width, from, to)
 			}
 			echoed[crashID] = append(echoed[crashID], got...)
 			if !ok {
@@ -750,14 +746,6 @@ type IngestBenchConfig struct {
 	// rate (default 0.5, 1, 2, 4): below 1 the plane must be shed-free,
 	// above 1 overload must surface as explicit shed, not collapse.
 	Multipliers []float64
-	// Capacity adds the unpaced capacity measurement: clients blast the
-	// wire as fast as it admits (shed is expected and explicit) for
-	// CapacityMillis, once over the legacy single-frame protocol and
-	// once batched, reporting max samples/s, syscalls/sample and p99
-	// verdict latency for each.
-	Capacity bool
-	// CapacityMillis is the blast window per capacity point (default 600).
-	CapacityMillis int
 }
 
 func (c IngestBenchConfig) streams() int {
@@ -788,13 +776,6 @@ func (c IngestBenchConfig) interval() time.Duration {
 	return 5 * time.Millisecond
 }
 
-func (c IngestBenchConfig) capacityWindow() time.Duration {
-	if c.CapacityMillis > 0 {
-		return time.Duration(c.CapacityMillis) * time.Millisecond
-	}
-	return 600 * time.Millisecond
-}
-
 func (c IngestBenchConfig) multipliers() []float64 {
 	if len(c.Multipliers) > 0 {
 		return c.Multipliers
@@ -804,46 +785,16 @@ func (c IngestBenchConfig) multipliers() []float64 {
 
 // IngestPoint is one offered-load multiplier's measurement.
 type IngestPoint struct {
-	Multiplier    float64
-	OfferedPerSec float64
-	WallMillis    float64
-	Accepted      int64
-	Shed          int64
-	Attributed    int64
-	ShedPct       float64
-	SamplesPerSec float64
+	Multiplier     float64
+	OfferedPerSec  float64
+	WallMillis     float64
+	Accepted       int64
+	Shed           int64
+	Attributed     int64
+	ShedPct        float64
+	SamplesPerSec  float64
 	VerdictsPerSec float64
-	Evictions     int64
-}
-
-// CapacityPoint is one unpaced blast measurement: how fast the wire
-// admits samples when clients stop pacing, and what each sample costs
-// in syscalls.
-type CapacityPoint struct {
-	Batched           bool
-	Sent              int64   // samples the clients put on the wire
-	Accepted          int64   // samples the server admitted
-	Shed              int64   // admitted then dropped (ring overflow, explicit)
-	SendMillis        float64 // blast window wall time
-	SamplesPerSec     float64 // Accepted / send window
-	VerdictsPerSec    float64 // scored verdicts / total wall
-	ClientWrites      int64   // client socket Write calls
-	ServerWrites      int64   // server socket Write calls
-	SyscallsPerSample float64 // (ClientWrites + ServerWrites) / Accepted
-	SampleBatches     int64   // SAMPLE_BATCH frames the server decoded
-	VerdictBatches    int64   // VERDICT_BATCH frames the server emitted
-	P99LatencyMillis  float64 // p99 send->verdict echo over sampled seqs
-}
-
-// IngestCapacity pairs the batched and unbatched blast points.
-type IngestCapacity struct {
-	Streams        int
-	DurationMillis float64
-	Unbatched      CapacityPoint
-	Batched        CapacityPoint
-	// Speedup is batched max samples/s over unbatched — the tentpole
-	// number: how much one header + one CRC per N records buys.
-	Speedup float64
+	Evictions      int64
 }
 
 // IngestReport is the ingest overload sweep, serialized to
@@ -856,8 +807,6 @@ type IngestReport struct {
 	Window         int
 	IntervalMillis float64
 	Points         []IngestPoint
-	// Capacity is present when the bench ran with -capacity.
-	Capacity *IngestCapacity `json:",omitempty"`
 }
 
 // IngestBench sweeps offered load over real loopback TCP clients
@@ -888,216 +837,7 @@ func (ctx *Context) IngestBench(cfg IngestBenchConfig) (*IngestReport, error) {
 		}
 		rep.Points = append(rep.Points, pt)
 	}
-	if cfg.Capacity {
-		cap := &IngestCapacity{
-			Streams:        cfg.streams(),
-			DurationMillis: durMillis(cfg.capacityWindow()),
-		}
-		if cap.Unbatched, err = ingestCapacityPoint(replicate, rep.Width, cfg, false); err != nil {
-			return nil, err
-		}
-		if cap.Batched, err = ingestCapacityPoint(replicate, rep.Width, cfg, true); err != nil {
-			return nil, err
-		}
-		if cap.Unbatched.SamplesPerSec > 0 {
-			cap.Speedup = cap.Batched.SamplesPerSec / cap.Unbatched.SamplesPerSec
-		}
-		rep.Capacity = cap
-	}
 	return rep, nil
-}
-
-// ingestCapacityPoint measures the wire's admission ceiling: streams()
-// clients blast unpaced for the capacity window — the ring's
-// drop-oldest overflow makes shed explicit instead of applying
-// backpressure, so the admission rate is the wire path's, not the
-// scoring wheel's. batched selects protocol v2 (Queue/Flush,
-// SAMPLE_BATCH) versus a protocol-v1 handshake (single frames, the
-// legacy wire format).
-func ingestCapacityPoint(replicate func() (*core.FallbackChain, error), width int,
-	cfg IngestBenchConfig, batched bool) (CapacityPoint, error) {
-	pt := CapacityPoint{Batched: batched}
-	eng, err := fleet.New(fleet.Config{
-		NewChain:   replicate,
-		WheelSlots: 4,
-		Interval:   cfg.interval(),
-		Policy:     supervise.Block,
-	})
-	if err != nil {
-		return pt, fmt.Errorf("ingest capacity: engine: %w", err)
-	}
-	srv, err := ingest.NewServer(ingest.Config{Engine: eng, Width: width, Window: cfg.window()})
-	if err != nil {
-		return pt, fmt.Errorf("ingest capacity: server: %w", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return pt, fmt.Errorf("ingest capacity: listen: %w", err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	run := make(chan error, 1)
-	go func() { run <- eng.Run(context.Background()) }()
-
-	var (
-		sent, clientWrites atomic.Int64
-		latMu              sync.Mutex
-		lats               []time.Duration
-	)
-	start := time.Now()
-	deadline := start.Add(cfg.capacityWindow())
-	var sendEnd atomic.Int64 // latest sender finish, ns since start
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.streams())
-	for i := 0; i < cfg.streams(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			n, w, cl, err := ingestCapacityClient(ln.Addr().String(), fmt.Sprintf("cap%d", i),
-				i, width, batched, deadline, &sendEnd, start)
-			sent.Add(n)
-			clientWrites.Add(w)
-			latMu.Lock()
-			lats = append(lats, cl...)
-			latMu.Unlock()
-			if err != nil {
-				select {
-				case errs <- err:
-				default:
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return pt, fmt.Errorf("ingest capacity: client: %w", err)
-	default:
-	}
-	select {
-	case rerr := <-run:
-		if rerr != nil {
-			return pt, fmt.Errorf("ingest capacity: engine run: %w", rerr)
-		}
-	case <-time.After(60 * time.Second):
-		return pt, errors.New("ingest capacity: engine did not finish")
-	}
-	wall := time.Since(start)
-	st := srv.StatsSnapshot(false)
-
-	if st.SamplesAccepted != st.VerdictsAttributed+st.SamplesShed {
-		return pt, fmt.Errorf("ingest capacity: accounting leak: accepted %d != attributed %d + shed %d",
-			st.SamplesAccepted, st.VerdictsAttributed, st.SamplesShed)
-	}
-	pt.Sent = sent.Load()
-	pt.Accepted = st.SamplesAccepted
-	pt.Shed = st.SamplesShed
-	sendWall := time.Duration(sendEnd.Load())
-	if sendWall <= 0 {
-		sendWall = wall
-	}
-	pt.SendMillis = durMillis(sendWall)
-	pt.SamplesPerSec = float64(st.SamplesAccepted) / sendWall.Seconds()
-	pt.VerdictsPerSec = float64(st.Verdicts) / wall.Seconds()
-	pt.ClientWrites = clientWrites.Load()
-	pt.ServerWrites = st.WriteSyscalls
-	if st.SamplesAccepted > 0 {
-		pt.SyscallsPerSample = float64(pt.ClientWrites+pt.ServerWrites) / float64(st.SamplesAccepted)
-	}
-	pt.SampleBatches = st.SampleBatches
-	pt.VerdictBatches = st.VerdictBatches
-	pt.P99LatencyMillis = durMillis(percentileDuration(lats, 0.99))
-	return pt, nil
-}
-
-// ingestCapacityClient blasts one stream until the shared deadline,
-// stamping every 64th sample so the reader goroutine can measure
-// send-to-verdict latency on the survivors (under blast most samples
-// are shed; the sampled survivors bound the echo path's latency).
-func ingestCapacityClient(addr, name string, sid, width int, batched bool,
-	deadline time.Time, sendEnd *atomic.Int64, epoch time.Time) (int64, int64, []time.Duration, error) {
-	hello := ingest.Hello{Width: width, Tenant: "cap", Stream: name}
-	if !batched {
-		hello.Version = 1 // legacy handshake: single frames both ways
-	}
-	c, err := ingest.Dial(ingest.ClientConfig{Addr: addr, Timeout: 30 * time.Second, Hello: hello})
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	defer c.Close()
-	if c.Batching() != batched {
-		return 0, 0, nil, fmt.Errorf("%s: negotiated batching %v, want %v", name, c.Batching(), batched)
-	}
-	var stampMu sync.Mutex
-	stamps := make(map[uint32]time.Time)
-	var lats []time.Duration
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			ev, err := c.Next()
-			if err != nil {
-				return // server finished the stream and hung up
-			}
-			if ev.Type != ingest.FrameVerdict {
-				continue
-			}
-			stampMu.Lock()
-			if ts, ok := stamps[ev.Verdict.Seq]; ok {
-				lats = append(lats, time.Since(ts))
-				delete(stamps, ev.Verdict.Seq)
-			}
-			stampMu.Unlock()
-		}
-	}()
-	buf := make([]uint64, width)
-	var seq uint32
-	for time.Now().Before(deadline) {
-		if seq&63 == 0 {
-			stampMu.Lock()
-			stamps[seq] = time.Now()
-			stampMu.Unlock()
-		}
-		if batched {
-			err = c.Queue(seq, ingestVals(sid, seq, buf))
-		} else {
-			err = c.Send(seq, ingestVals(sid, seq, buf))
-		}
-		if err != nil {
-			return int64(seq), c.WriteCalls(), nil, fmt.Errorf("%s send %d: %w", name, seq, err)
-		}
-		seq++
-	}
-	if err := c.Flush(); err != nil {
-		return int64(seq), c.WriteCalls(), nil, fmt.Errorf("%s flush: %w", name, err)
-	}
-	// Record when this sender stopped offering load (max across clients
-	// is the blast window's true end).
-	end := int64(time.Since(epoch))
-	for {
-		cur := sendEnd.Load()
-		if end <= cur || sendEnd.CompareAndSwap(cur, end) {
-			break
-		}
-	}
-	if err := c.Bye(); err != nil {
-		return int64(seq), c.WriteCalls(), nil, fmt.Errorf("%s BYE: %w", name, err)
-	}
-	<-done
-	stampMu.Lock()
-	out := append([]time.Duration(nil), lats...)
-	stampMu.Unlock()
-	return int64(seq), c.WriteCalls(), out, nil
-}
-
-// percentileDuration returns the p-quantile of ds (0 when empty).
-func percentileDuration(ds []time.Duration, p float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	idx := int(p * float64(len(ds)-1))
-	return ds[idx]
 }
 
 func ingestBenchPoint(replicate func() (*core.FallbackChain, error), width int,
@@ -1230,19 +970,6 @@ func RenderIngest(r *IngestReport) string {
 	for _, p := range r.Points {
 		fmt.Fprintf(&sb, "  %9.1f   %9.0f   %10.0f   %10.0f   %5.1f   %10d\n",
 			p.Multiplier, p.OfferedPerSec, p.SamplesPerSec, p.VerdictsPerSec, p.ShedPct, p.Evictions)
-	}
-	if c := r.Capacity; c != nil {
-		fmt.Fprintf(&sb, "Wire capacity (unpaced blast, %d streams x %.0fms):\n", c.Streams, c.DurationMillis)
-		sb.WriteString("  mode        samples/s   verdicts/s   syscalls/sample   p99 ms   shed\n")
-		for _, p := range []CapacityPoint{c.Unbatched, c.Batched} {
-			mode := "unbatched"
-			if p.Batched {
-				mode = "batched"
-			}
-			fmt.Fprintf(&sb, "  %-9s   %9.0f   %10.0f   %15.4f   %6.2f   %d\n",
-				mode, p.SamplesPerSec, p.VerdictsPerSec, p.SyscallsPerSample, p.P99LatencyMillis, p.Shed)
-		}
-		fmt.Fprintf(&sb, "  batched/unbatched samples/s speedup: %.1fx\n", c.Speedup)
 	}
 	return sb.String()
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/fleet"
-	"repro/internal/source"
 	"repro/internal/mlearn/ensemble"
 	"repro/internal/mlearn/persist"
 	"repro/internal/mlearn/zoo"
+	"repro/internal/source"
 	"repro/internal/supervise"
 )
 
@@ -123,11 +123,6 @@ type PerfCompiledFleet struct {
 	InterpIntervalsPerSec   float64
 	CompiledIntervalsPerSec float64
 	SpeedupX                float64
-	// MaxStreams10ms derives, from measured aggregate throughput, the
-	// largest stream count each backend sustains at the paper's 10 ms
-	// sampling interval (100 intervals/sec per stream).
-	InterpMaxStreams10ms   int
-	CompiledMaxStreams10ms int
 }
 
 // PerfCompiled is the compiled-inference-backend half of the report:
@@ -167,8 +162,7 @@ type PerfQuantizedFleet struct {
 	QuantIntervalsPerSec float64
 	// VsCompiledX compares against the compiled fleet run of the same
 	// report.
-	VsCompiledX         float64
-	QuantMaxStreams10ms int
+	VsCompiledX float64
 }
 
 // PerfQuantized is the quantized-tier section of the report.
@@ -713,12 +707,9 @@ func (ctx *Context) perfCompiledFleet() (*PerfCompiledFleet, *PerfQuantizedFleet
 			InterpIntervalsPerSec:   interp,
 			CompiledIntervalsPerSec: comp,
 			SpeedupX:                comp / interp,
-			InterpMaxStreams10ms:    int(interp / 100),
-			CompiledMaxStreams10ms:  int(comp / 100),
 		}, &PerfQuantizedFleet{
 			QuantIntervalsPerSec: quant,
 			VsCompiledX:          quant / comp,
-			QuantMaxStreams10ms:  int(quant / 100),
 		}, nil
 }
 
@@ -848,10 +839,9 @@ func RenderPerf(r *PerfReport) string {
 			f.IntervalsPerSec/1e6, f.P99Micros, f.VerdictsIdentical)
 	}
 	fl := r.Compiled.Fleet
-	fmt.Fprintf(&sb, "    fleet %d streams x %d intervals, %d shards: interpreted %.0f iv/s -> compiled %.0f iv/s (%.2fx); max streams @10ms %d -> %d\n",
+	fmt.Fprintf(&sb, "    fleet %d streams x %d intervals, %d shards: interpreted %.0f iv/s -> compiled %.0f iv/s (%.2fx)\n",
 		fl.Streams, fl.Intervals, fl.Shards,
-		fl.InterpIntervalsPerSec, fl.CompiledIntervalsPerSec, fl.SpeedupX,
-		fl.InterpMaxStreams10ms, fl.CompiledMaxStreams10ms)
+		fl.InterpIntervalsPerSec, fl.CompiledIntervalsPerSec, fl.SpeedupX)
 	fmt.Fprintf(&sb, "  quantized tier (batch=%d):\n", r.Quantized.BatchSize)
 	for _, f := range r.Quantized.Families {
 		tag := ""
@@ -863,7 +853,7 @@ func RenderPerf(r *PerfReport) string {
 			f.QuantVsInterpX, f.QuantVsCompiledX, f.IntervalsPerSec/1e6, f.VerdictParity, tag)
 	}
 	qf := r.Quantized.Fleet
-	fmt.Fprintf(&sb, "    fleet quantized: %.0f iv/s (%.2fx vs compiled); max streams @10ms %d\n",
-		qf.QuantIntervalsPerSec, qf.VsCompiledX, qf.QuantMaxStreams10ms)
+	fmt.Fprintf(&sb, "    fleet quantized: %.0f iv/s (%.2fx vs compiled)\n",
+		qf.QuantIntervalsPerSec, qf.VsCompiledX)
 	return sb.String()
 }

@@ -79,16 +79,16 @@ func TestFleetCompiledMatchesInterpreted(t *testing.T) {
 		}
 	}
 
-	run := func(interpreted bool) [][]core.Verdict {
+	run := func(tier core.Tier) [][]core.Verdict {
 		// Not newTestEngine: that helper installs the stub-chain factory
 		// when NewChain is nil, and this test needs the trained template.
 		e, err := New(Config{
-			Chain:       tmpl,
-			Shards:      3,
-			WheelSlots:  4,
-			Policy:      supervise.Block,
-			Breaker:     brCfg,
-			Interpreted: interpreted,
+			Chain:      tmpl,
+			Shards:     3,
+			WheelSlots: 4,
+			Policy:     supervise.Block,
+			Breaker:    brCfg,
+			Tier:       tier,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -115,12 +115,12 @@ func TestFleetCompiledMatchesInterpreted(t *testing.T) {
 		snap := e.Stats(false)
 		for si, sh := range snap.Shards {
 			want := tmpl.Stages()
-			if interpreted {
+			if tier == core.TierInterpreted {
 				want = 0
 			}
 			if sh.CompiledStages != want {
-				t.Fatalf("interpreted=%v shard %d: CompiledStages = %d, want %d",
-					interpreted, si, sh.CompiledStages, want)
+				t.Fatalf("tier %v shard %d: CompiledStages = %d, want %d",
+					tier, si, sh.CompiledStages, want)
 			}
 		}
 		out := make([][]core.Verdict, streams)
@@ -131,8 +131,8 @@ func TestFleetCompiledMatchesInterpreted(t *testing.T) {
 		return out
 	}
 
-	compiledV := run(false)
-	interpretedV := run(true)
+	compiledV := run(core.TierCompiled)
+	interpretedV := run(core.TierInterpreted)
 	for i := 0; i < streams; i++ {
 		for k := 0; k < n; k++ {
 			c, iv := compiledV[i][k], interpretedV[i][k]

@@ -144,27 +144,12 @@ type Config struct {
 	// CheckpointEvery is the number of wheel rotations between fleet
 	// checkpoints (<=0 means 64).
 	CheckpointEvery int
-	// Interpreted pins every shard batcher to the interpreted scoring
-	// path even when the template's models compile. The compiled path
-	// is the default; this knob exists for baselines (perf comparisons)
-	// and equivalence tests — both engines must emit bit-identical
-	// verdict streams. Equivalent to Tier: core.TierInterpreted; kept
-	// for existing callers.
-	Interpreted bool
 	// Tier selects the inference tier every shard batcher scores
 	// through: compiled (default, bit-identical), quantized (fixed-point
 	// fast tier, statistical equivalence, per-model fallback to
-	// compiled), or interpreted. Interpreted==true overrides it.
+	// compiled), or interpreted (the baseline the equivalence tests
+	// compare against).
 	Tier core.Tier
-}
-
-// tier resolves the configured inference tier, folding the legacy
-// Interpreted knob in.
-func (c Config) tier() core.Tier {
-	if c.Interpreted {
-		return core.TierInterpreted
-	}
-	return c.Tier
 }
 
 func (c Config) shards() int {
@@ -394,7 +379,7 @@ func New(cfg Config) (*Engine, error) {
 		// replicating so every shard's detectors share one set of
 		// fixed-point artifacts (the replicator propagates whatever the
 		// template cached).
-		if cfg.tier() == core.TierQuantized {
+		if cfg.Tier == core.TierQuantized {
 			for _, d := range cfg.Chain.Detectors() {
 				d.Quantized()
 			}

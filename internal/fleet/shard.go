@@ -132,7 +132,7 @@ func newShard(e *Engine, idx int, tmpl *core.FallbackChain, cfg Config) *shard {
 		byStage:  make([][]int, len(dets)),
 	}
 	for i, d := range dets {
-		sh.batchers[i] = d.NewTierBatcher(cfg.tier())
+		sh.batchers[i] = d.NewTierBatcher(cfg.Tier)
 	}
 	return sh
 }

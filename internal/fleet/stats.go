@@ -149,8 +149,8 @@ type ShardSnapshot struct {
 	QueueDepth   int
 	LagRotations int64
 	// CompiledStages is how many of the shard's per-stage batchers score
-	// through a lowered fast path — compiled or quantized (0 with
-	// Config.Interpreted or when no stage model lowers).
+	// through a lowered fast path — compiled or quantized (0 under
+	// core.TierInterpreted or when no stage model lowers).
 	CompiledStages int
 	// QuantizedStages is how many of those score through the quantized
 	// fixed-point kernels specifically (0 unless Config.Tier is
@@ -229,7 +229,7 @@ func (e *Engine) StatsPage(offset, limit int) Snapshot {
 
 func (e *Engine) statsPage(offset, limit int, includeStreams bool) Snapshot {
 	snap := Snapshot{
-		Tier:               e.cfg.tier().String(),
+		Tier:               e.cfg.Tier.String(),
 		Draining:           e.draining.Load(),
 		Rotations:          e.Rotations(),
 		Verdicts:           e.verdictCount.Load(),

@@ -29,9 +29,9 @@ func TestBatchPathZeroAlloc(t *testing.T) {
 	vbuf := make([]uint64, width)
 
 	if a := testing.AllocsPerRun(100, func() {
-		wbuf = AppendSample(wbuf[:0], 7, vals[:width])
+		wbuf = AppendSampleBatch(wbuf[:0], seqs[:1], vals[:width], width)
 	}); a != 0 {
-		t.Errorf("AppendSample: %.1f allocs/op, want 0", a)
+		t.Errorf("AppendSampleBatch (batch of one): %.1f allocs/op, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		wbuf = AppendSampleBatch(wbuf[:0], seqs, vals, width)

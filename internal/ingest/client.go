@@ -72,7 +72,7 @@ type Client struct {
 type Event struct {
 	Type     byte
 	HelloOK  HelloOK  // FrameHelloOK
-	Verdict  Verdict  // FrameVerdict
+	Verdict  Verdict  // FrameVerdict: one record of a VERDICT_BATCH
 	Shed     Shed     // FrameShed
 	Retry    Retry    // FrameRetry
 	Redirect Redirect // FrameRedirect
@@ -132,27 +132,24 @@ func (e *RejectedError) Error() string {
 // well-behaved client into a misbehaving one.
 func (c *Client) SetInjector(in *faults.WireInjector) { c.cfg.Injector = in }
 
-// Send transmits one sample. With an injector configured the frame may
-// be corrupted, delayed, duplicated, or torn — in the torn case the
-// connection closes and ErrConnDropped comes back.
+// Send transmits one sample as a batch of one: Queue then Flush. With
+// an injector configured the frame may be corrupted, delayed,
+// duplicated, or torn — in the torn case the connection closes and
+// ErrConnDropped comes back.
 func (c *Client) Send(seq uint32, vals []uint64) error {
-	c.wbuf = AppendSample(c.wbuf[:0], seq, vals)
-	return c.writeFrames(c.wbuf)
+	if err := c.Queue(seq, vals); err != nil {
+		return err
+	}
+	return c.Flush()
 }
 
-// Batching reports whether the server negotiated batch framing.
-func (c *Client) Batching() bool { return c.Admitted.Batching }
-
 // WriteCalls returns how many socket Write invocations the client has
-// made — the syscall-amortization counter the capacity benchmarks
-// report.
+// made — the syscall-amortization counter the benchmarks report.
 func (c *Client) WriteCalls() int64 { return c.writes.Load() }
 
 // Queue buffers one sample for a batched send; the queue auto-flushes
 // at the frame's record limit. Callers finish with Flush (Bye flushes
-// implicitly). On a connection without negotiated batching the queued
-// samples go out as contiguous single-record frames in one write, so
-// the wire stays valid for old servers while syscalls still amortize.
+// implicitly).
 func (c *Client) Queue(seq uint32, vals []uint64) error {
 	c.pendSeqs = append(c.pendSeqs, seq)
 	c.pendVals = append(c.pendVals, vals...)
@@ -162,22 +159,13 @@ func (c *Client) Queue(seq uint32, vals []uint64) error {
 	return nil
 }
 
-// Flush sends every queued sample: one SAMPLE_BATCH when batching is
-// negotiated and more than one sample is pending, single-record frames
-// otherwise — either way coalesced into one Write.
+// Flush sends every queued sample as one SAMPLE_BATCH frame in one
+// Write; with nothing queued it sends nothing.
 func (c *Client) Flush() error {
-	n := len(c.pendSeqs)
-	if n == 0 {
+	if len(c.pendSeqs) == 0 {
 		return nil
 	}
-	if c.Admitted.Batching && n > 1 {
-		c.wbuf = AppendSampleBatch(c.wbuf[:0], c.pendSeqs, c.pendVals, c.width)
-	} else {
-		c.wbuf = c.wbuf[:0]
-		for i, seq := range c.pendSeqs {
-			c.wbuf = AppendSample(c.wbuf, seq, c.pendVals[i*c.width:(i+1)*c.width])
-		}
-	}
+	c.wbuf = AppendSampleBatch(c.wbuf[:0], c.pendSeqs, c.pendVals, c.width)
 	c.pendSeqs = c.pendSeqs[:0]
 	c.pendVals = c.pendVals[:0]
 	return c.writeFrames(c.wbuf)
@@ -235,16 +223,11 @@ func (c *Client) Next() (Event, error) {
 	}
 	ev := Event{Type: typ}
 	switch typ {
-	case FrameVerdict:
-		ev.Verdict, err = ParseVerdict(body)
 	case FrameVerdictBatch:
+		// ParseVerdictBatch rejects empty batches, so pendV[0] exists.
 		vb, perr := ParseVerdictBatch(body)
 		if perr != nil {
 			return Event{}, perr
-		}
-		if vb.Len() == 0 {
-			// Tolerated but pointless; read the next frame.
-			return c.Next()
 		}
 		c.pendV = c.pendV[:0]
 		for {

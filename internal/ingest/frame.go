@@ -1,9 +1,11 @@
 // Package ingest is the network front door of the detection fleet: it
-// accepts HPC feature vectors from remote clients — a compact
-// length-prefixed binary framing over TCP, plus a debug HTTP/JSON
-// endpoint — and feeds them to the fleet engine through the unified
-// source.Source interface, so a network stream rides the exact same
-// zero-alloc scoring path as a simulated or replayed one.
+// accepts HPC feature vectors from remote clients over a compact
+// length-prefixed binary framing on TCP and feeds them to the fleet
+// engine through the unified source.Source interface, so a network
+// stream rides the exact same zero-alloc scoring path as a simulated or
+// replayed one. Samples and verdicts travel only in batch frames
+// (SAMPLE_BATCH / VERDICT_BATCH); a single sample or verdict is a batch
+// of one.
 //
 // Robustness is the design centre, because the front door is where
 // hostile run-time conditions arrive first:
@@ -38,17 +40,11 @@ import (
 	"math"
 )
 
-// ProtoVersion is the newest framing protocol version this code
-// speaks; HELLO carries the client's version and the server serves any
-// version down to ProtoVersionMin. Version 2 adds batch framing
-// (SAMPLE_BATCH / VERDICT_BATCH): a v2 client is answered with a
-// flagged HELLO_OK and both sides may pack many records behind one
-// header + CRC; a v1 client gets the legacy 8-byte HELLO_OK and only
-// ever sees single-record frames.
-const (
-	ProtoVersion    = 2
-	ProtoVersionMin = 1
-)
+// ProtoVersion is the one framing protocol version this code speaks:
+// HELLO and JOIN must carry exactly it. Version 3 is batch-only; older
+// peers, which may send single SAMPLE frames, are refused at the
+// handshake with ErrBadVersion rather than part-way through a stream.
+const ProtoVersion = 3
 
 // Frame types. Client-to-server types have the high bit clear,
 // server-to-client types have it set.
@@ -56,19 +52,19 @@ const (
 	// FrameHello opens a stream: tenant, stream ID, vector width,
 	// optional horizon. Must be the first frame on a connection.
 	FrameHello byte = 0x01
-	// FrameSample carries one interval's counter vector.
-	FrameSample byte = 0x02
 	// FrameBye announces a clean end of stream: buffered samples are
 	// still scored, then the stream finishes.
 	FrameBye byte = 0x03
-	// FrameSampleBatch carries N contiguous sample records behind one
-	// header and one CRC — the amortized wire path (protocol v2+).
+	// FrameSampleBatch carries N >= 1 contiguous sample records, each
+	// one interval's counter vector, behind one header and one CRC.
 	FrameSampleBatch byte = 0x04
 
 	// FrameHelloOK admits the stream and tells the client where to
 	// resume and how many samples it may keep in flight.
 	FrameHelloOK byte = 0x81
-	// FrameVerdict returns one scored sample's verdict.
+	// FrameVerdict is not a wire frame: it is the Event.Type that
+	// Client.Next reports for each record unpacked from a
+	// VERDICT_BATCH.
 	FrameVerdict byte = 0x82
 	// FrameShed reports samples dropped by the inflight window —
 	// explicit shed accounting, never silent loss.
@@ -82,8 +78,8 @@ const (
 	// FrameError reports a protocol violation; the connection closes
 	// after it.
 	FrameError byte = 0x86
-	// FrameVerdictBatch carries N contiguous verdict records behind one
-	// header and one CRC (protocol v2+, sent only to batching clients).
+	// FrameVerdictBatch carries N >= 1 contiguous verdict records, each
+	// one scored sample's verdict, behind one header and one CRC.
 	FrameVerdictBatch byte = 0x87
 )
 
@@ -102,7 +98,7 @@ const (
 	// MaxBatchRecords caps the record count in one batch frame — deep
 	// enough to amortize the per-frame syscall and CRC to noise, small
 	// enough that one torn batch loses at most a window's worth of
-	// samples (resume replays them like any single-frame loss).
+	// samples (resume replays them like any other lost frame).
 	MaxBatchRecords = 256
 )
 
@@ -116,7 +112,8 @@ var (
 	// ErrChecksum marks a frame whose CRC32-C failed: bytes were
 	// damaged in flight, the framing layer can no longer be trusted.
 	ErrChecksum = errors.New("ingest: frame checksum mismatch")
-	// ErrBadVersion marks a HELLO with an unsupported protocol version.
+	// ErrBadVersion marks a HELLO or JOIN whose version is not
+	// ProtoVersion.
 	ErrBadVersion = errors.New("ingest: unsupported protocol version")
 )
 
@@ -181,7 +178,7 @@ func ReadFrame(br *bufio.Reader, max int, buf []byte) (typ byte, body, bufOut []
 // Hello is the stream-opening handshake.
 type Hello struct {
 	Version byte
-	// Width is the counter vector width every SAMPLE must carry; it
+	// Width is the counter vector width every sample must carry; it
 	// must match the serving chain's event width.
 	Width int
 	// Horizon, when positive, bounds the stream to that many samples.
@@ -210,7 +207,7 @@ func ParseHello(body []byte) (Hello, error) {
 		return h, fmt.Errorf("%w: hello body %d bytes", ErrBadFrame, len(body))
 	}
 	h.Version = body[0]
-	if h.Version < ProtoVersionMin || h.Version > ProtoVersion {
+	if h.Version != ProtoVersion {
 		return h, fmt.Errorf("%w: %d", ErrBadVersion, h.Version)
 	}
 	h.Width = int(binary.BigEndian.Uint16(body[1:3]))
@@ -247,78 +244,27 @@ type HelloOK struct {
 	Window int
 	// Width echoes the serving chain's vector width.
 	Width int
-	// Batching reports that the server negotiated batch framing (the
-	// client sent HELLO version >= 2): both sides may now emit
-	// SAMPLE_BATCH / VERDICT_BATCH frames. Carried as a trailing flags
-	// byte that v1 replies omit, so legacy 8-byte decoders stay valid.
-	Batching bool
 }
 
-// helloOKBatchFlag is bit 0 of the optional HELLO_OK flags byte.
-const helloOKBatchFlag = 0x01
-
-// AppendHelloOK appends a HELLO_OK frame. Replies without batching use
-// the legacy 8-byte body so protocol-v1 clients parse them unchanged;
-// batching replies append the flags byte v2 clients look for.
+// AppendHelloOK appends a HELLO_OK frame (fixed 8-byte body).
 func AppendHelloOK(dst []byte, ok HelloOK) []byte {
-	var body [9]byte
+	var body [8]byte
 	binary.BigEndian.PutUint32(body[0:4], uint32(ok.Resume))
 	binary.BigEndian.PutUint16(body[4:6], uint16(ok.Window))
 	binary.BigEndian.PutUint16(body[6:8], uint16(ok.Width))
-	if !ok.Batching {
-		return AppendFrame(dst, FrameHelloOK, body[:8])
-	}
-	body[8] = helloOKBatchFlag
-	return AppendFrame(dst, FrameHelloOK, body[:9])
+	return AppendFrame(dst, FrameHelloOK, body[:])
 }
 
-// ParseHelloOK decodes a HELLO_OK body (legacy 8-byte or flagged
-// 9-byte form).
+// ParseHelloOK decodes a HELLO_OK body.
 func ParseHelloOK(body []byte) (HelloOK, error) {
-	if len(body) != 8 && len(body) != 9 {
+	if len(body) != 8 {
 		return HelloOK{}, fmt.Errorf("%w: hello-ok body %d bytes", ErrBadFrame, len(body))
 	}
-	ok := HelloOK{
+	return HelloOK{
 		Resume: int(binary.BigEndian.Uint32(body[0:4])),
 		Window: int(binary.BigEndian.Uint16(body[4:6])),
 		Width:  int(binary.BigEndian.Uint16(body[6:8])),
-	}
-	if len(body) == 9 {
-		ok.Batching = body[8]&helloOKBatchFlag != 0
-	}
-	return ok, nil
-}
-
-// AppendSample appends a SAMPLE frame: the client's sequence number and
-// the counter vector. dst is typically a recycled buffer, so the
-// steady-state send path allocates nothing.
-func AppendSample(dst []byte, seq uint32, vals []uint64) []byte {
-	start := len(dst)
-	dst = append(dst, FrameSample, 0, 0, 0)
-	dst = binary.BigEndian.AppendUint32(dst, seq)
-	for _, v := range vals {
-		dst = binary.BigEndian.AppendUint64(dst, v)
-	}
-	return finishFrame(dst, start)
-}
-
-// ParseSampleInto decodes a SAMPLE body: the vector lands in buf
-// (which must have capacity >= width) with no allocation. The body
-// must carry exactly width values.
-func ParseSampleInto(body []byte, width int, buf []uint64) (seq uint32, vals []uint64, err error) {
-	if len(body) != 4+8*width {
-		return 0, nil, fmt.Errorf("%w: sample body %d bytes, want %d for width %d",
-			ErrBadFrame, len(body), 4+8*width, width)
-	}
-	seq = binary.BigEndian.Uint32(body[:4])
-	if cap(buf) < width {
-		buf = make([]uint64, width)
-	}
-	vals = buf[:width]
-	for i := range vals {
-		vals[i] = binary.BigEndian.Uint64(body[4+8*i:])
-	}
-	return seq, vals, nil
+	}, nil
 }
 
 // finishFrame closes a frame whose header placeholder and body were
@@ -379,16 +325,17 @@ type SampleBatch struct {
 }
 
 // ParseSampleBatch validates a SAMPLE_BATCH body for the given width
-// and returns its record iterator. The declared count must match the
-// body length exactly: a CRC-valid frame whose count field promises
-// more records than it carries (or that ends mid-record) is malformed.
+// and returns its record iterator. The declared count must be at least
+// one and match the body length exactly: a CRC-valid frame that is
+// empty, whose count field promises more records than it carries, or
+// that ends mid-record is malformed.
 func ParseSampleBatch(body []byte, width int) (SampleBatch, error) {
 	if len(body) < 2 {
 		return SampleBatch{}, fmt.Errorf("%w: sample batch body %d bytes", ErrBadFrame, len(body))
 	}
 	n := int(binary.BigEndian.Uint16(body[:2]))
-	if n > MaxBatchRecords {
-		return SampleBatch{}, fmt.Errorf("%w: sample batch count %d (max %d)", ErrBadFrame, n, MaxBatchRecords)
+	if n == 0 || n > MaxBatchRecords {
+		return SampleBatch{}, fmt.Errorf("%w: sample batch count %d (want 1..%d)", ErrBadFrame, n, MaxBatchRecords)
 	}
 	rec := 4 + 8*width
 	if len(body)-2 != n*rec {
@@ -433,29 +380,7 @@ type Verdict struct {
 	Malware bool
 }
 
-// AppendVerdict appends a VERDICT frame.
-func AppendVerdict(dst []byte, v Verdict) []byte {
-	start := len(dst)
-	dst = append(dst, FrameVerdict, 0, 0, 0)
-	dst = appendVerdictRecord(dst, v)
-	return finishFrame(dst, start)
-}
-
-// ParseVerdict decodes a VERDICT body.
-func ParseVerdict(body []byte) (Verdict, error) {
-	if len(body) != 17 {
-		return Verdict{}, fmt.Errorf("%w: verdict body %d bytes", ErrBadFrame, len(body))
-	}
-	return Verdict{
-		Seq:      binary.BigEndian.Uint32(body[0:4]),
-		Interval: binary.BigEndian.Uint32(body[4:8]),
-		Score:    math.Float64frombits(binary.BigEndian.Uint64(body[8:16])),
-		Malware:  body[16]&1 != 0,
-	}, nil
-}
-
-// appendVerdictRecord appends the fixed 17-byte verdict record shared
-// by VERDICT and VERDICT_BATCH.
+// appendVerdictRecord appends one fixed 17-byte verdict record.
 func appendVerdictRecord(dst []byte, v Verdict) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, v.Seq)
 	dst = binary.BigEndian.AppendUint32(dst, v.Interval)
@@ -489,15 +414,15 @@ type VerdictBatch struct {
 }
 
 // ParseVerdictBatch validates a VERDICT_BATCH body and returns its
-// record iterator; the declared count must match the body length
-// exactly.
+// record iterator; the declared count must be at least one and match
+// the body length exactly.
 func ParseVerdictBatch(body []byte) (VerdictBatch, error) {
 	if len(body) < 2 {
 		return VerdictBatch{}, fmt.Errorf("%w: verdict batch body %d bytes", ErrBadFrame, len(body))
 	}
 	n := int(binary.BigEndian.Uint16(body[:2]))
-	if n > MaxBatchRecords {
-		return VerdictBatch{}, fmt.Errorf("%w: verdict batch count %d (max %d)", ErrBadFrame, n, MaxBatchRecords)
+	if n == 0 || n > MaxBatchRecords {
+		return VerdictBatch{}, fmt.Errorf("%w: verdict batch count %d (want 1..%d)", ErrBadFrame, n, MaxBatchRecords)
 	}
 	if len(body)-2 != n*17 {
 		return VerdictBatch{}, fmt.Errorf("%w: verdict batch %d bytes, want %d for %d records",

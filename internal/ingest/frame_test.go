@@ -42,34 +42,44 @@ func TestFrameRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("sample", func(t *testing.T) {
+		// A single sample travels as a SAMPLE_BATCH of one.
 		vals := []uint64{1, 1 << 40, math.MaxUint64, 0}
-		typ, body := readOne(t, AppendSample(nil, 77, vals))
-		if typ != FrameSample {
+		typ, body := readOne(t, AppendSampleBatch(nil, []uint32{77}, vals, 4))
+		if typ != FrameSampleBatch {
 			t.Fatalf("type %#x", typ)
 		}
-		buf := make([]uint64, 4)
-		seq, got, err := ParseSampleInto(body, 4, buf)
-		if err != nil || seq != 77 {
-			t.Fatalf("seq %d err %v", seq, err)
+		it, err := ParseSampleBatch(body, 4)
+		if err != nil || it.Len() != 1 {
+			t.Fatalf("len %d err %v", it.Len(), err)
+		}
+		seq, got, ok := it.Next(make([]uint64, 4))
+		if !ok || seq != 77 {
+			t.Fatalf("seq %d ok %v", seq, ok)
 		}
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("val %d: %d != %d", i, got[i], vals[i])
 			}
 		}
-		if _, _, err := ParseSampleInto(body, 5, make([]uint64, 5)); !errors.Is(err, ErrBadFrame) {
+		if _, err := ParseSampleBatch(body, 5); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("width mismatch must be ErrBadFrame, got %v", err)
 		}
 	})
 	t.Run("verdict", func(t *testing.T) {
+		// A single verdict travels as a VERDICT_BATCH of one, bit for
+		// bit (the score's float bits included).
 		in := Verdict{Seq: 9, Interval: 11, Score: 0.875, Malware: true}
-		typ, body := readOne(t, AppendVerdict(nil, in))
-		if typ != FrameVerdict {
+		typ, body := readOne(t, AppendVerdictBatch(nil, []Verdict{in}))
+		if typ != FrameVerdictBatch {
 			t.Fatalf("type %#x", typ)
 		}
-		got, err := ParseVerdict(body)
-		if err != nil || got != in {
-			t.Fatalf("got %+v err %v", got, err)
+		it, err := ParseVerdictBatch(body)
+		if err != nil || it.Len() != 1 {
+			t.Fatalf("len %d err %v", it.Len(), err)
+		}
+		got, ok := it.Next()
+		if !ok || got != in || math.Float64bits(got.Score) != math.Float64bits(in.Score) {
+			t.Fatalf("got %+v ok %v", got, ok)
 		}
 	})
 	t.Run("shed", func(t *testing.T) {
@@ -160,13 +170,15 @@ func TestBatchFrameRoundTrips(t *testing.T) {
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
+		// No sender emits a zero-record batch, so one on the wire is
+		// malformed.
 		_, body := readOne(t, AppendSampleBatch(nil, nil, nil, 4))
-		if it, err := ParseSampleBatch(body, 4); err != nil || it.Len() != 0 {
-			t.Fatalf("empty sample batch: len %d err %v", it.Len(), err)
+		if _, err := ParseSampleBatch(body, 4); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("empty sample batch: got %v, want ErrBadFrame", err)
 		}
 		_, body = readOne(t, AppendVerdictBatch(nil, nil))
-		if it, err := ParseVerdictBatch(body); err != nil || it.Len() != 0 {
-			t.Fatalf("empty verdict batch: len %d err %v", it.Len(), err)
+		if _, err := ParseVerdictBatch(body); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("empty verdict batch: got %v, want ErrBadFrame", err)
 		}
 	})
 }
@@ -201,38 +213,30 @@ func TestBatchParseRejects(t *testing.T) {
 	}
 }
 
+// TestHelloOKBatchingFlag pins the flag byte's retirement: HELLO_OK is
+// a fixed 8-byte body, and the 9-byte form that carried the protocol-2
+// batching flag is malformed.
 func TestHelloOKBatchingFlag(t *testing.T) {
-	// Legacy form: no flags byte, parses with Batching false.
-	plain := AppendHelloOK(nil, HelloOK{Resume: 5, Window: 32, Width: 4})
-	_, body := readOne(t, plain)
+	_, body := readOne(t, AppendHelloOK(nil, HelloOK{Resume: 5, Window: 32, Width: 4}))
 	if len(body) != 8 {
-		t.Fatalf("non-batching HELLO_OK body %d bytes, want legacy 8", len(body))
+		t.Fatalf("HELLO_OK body %d bytes, want 8", len(body))
 	}
-	got, err := ParseHelloOK(body)
-	if err != nil || got.Batching {
-		t.Fatalf("legacy parse: %+v err %v", got, err)
-	}
-	// Flagged form round-trips.
-	in := HelloOK{Resume: 5, Window: 32, Width: 4, Batching: true}
-	_, body = readOne(t, AppendHelloOK(nil, in))
-	if len(body) != 9 {
-		t.Fatalf("batching HELLO_OK body %d bytes, want 9", len(body))
-	}
-	if got, err = ParseHelloOK(body); err != nil || got != in {
-		t.Fatalf("flagged parse: %+v err %v", got, err)
+	flagged := append(append([]byte(nil), body...), 0x01)
+	if _, err := ParseHelloOK(flagged); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("flagged 9-byte HELLO_OK: got %v, want ErrBadFrame", err)
 	}
 }
 
 func TestParseHelloVersions(t *testing.T) {
-	for v := byte(ProtoVersionMin); v <= ProtoVersion; v++ {
-		_, body := readOne(t, AppendHello(nil, Hello{Version: v, Width: 4, Tenant: "t", Stream: "s"}))
-		if h, err := ParseHello(body); err != nil || h.Version != v {
-			t.Fatalf("version %d: %+v err %v", v, h, err)
-		}
+	_, body := readOne(t, AppendHello(nil, Hello{Version: ProtoVersion, Width: 4, Tenant: "t", Stream: "s"}))
+	if h, err := ParseHello(body); err != nil || h.Version != ProtoVersion {
+		t.Fatalf("version %d: %+v err %v", ProtoVersion, h, err)
 	}
-	_, body := readOne(t, AppendHello(nil, Hello{Version: ProtoVersion + 1, Width: 4, Tenant: "t", Stream: "s"}))
-	if _, err := ParseHello(body); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("future version: got %v", err)
+	for _, v := range []byte{0, 1, 2, ProtoVersion + 1} {
+		_, body := readOne(t, AppendHello(nil, Hello{Version: v, Width: 4, Tenant: "t", Stream: "s"}))
+		if _, err := ParseHello(body); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: got %v, want ErrBadVersion", v, err)
+		}
 	}
 }
 
@@ -249,9 +253,9 @@ func TestSampleBatchLimit(t *testing.T) {
 
 func TestFrameChecksumRejectsDamage(t *testing.T) {
 	wires := [][]byte{
-		AppendSample(nil, 5, []uint64{1, 2, 3, 4}),
+		AppendSampleBatch(nil, []uint32{5}, []uint64{1, 2, 3, 4}, 4),
 		// One CRC covers every record of a batch: damage anywhere in
-		// the frame is detected exactly like single-frame damage.
+		// the frame is detected, however many records it carries.
 		AppendSampleBatch(nil, []uint32{5, 6}, []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 4),
 		AppendVerdictBatch(nil, []Verdict{{Seq: 1, Interval: 1, Score: 0.5}, {Seq: 2, Interval: 2, Score: 1}}),
 	}
@@ -268,7 +272,7 @@ func TestFrameChecksumRejectsDamage(t *testing.T) {
 }
 
 func TestFrameTornAndOversized(t *testing.T) {
-	wire := AppendSample(nil, 5, []uint64{1, 2, 3, 4})
+	wire := AppendSampleBatch(nil, []uint32{5}, []uint64{1, 2, 3, 4}, 4)
 	for cut := 1; cut < len(wire); cut++ {
 		_, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(wire[:cut])), 0, nil)
 		if err == nil {
@@ -279,7 +283,7 @@ func TestFrameTornAndOversized(t *testing.T) {
 		}
 	}
 
-	huge := []byte{FrameSample, 0xFF, 0xFF, 0xFF}
+	huge := []byte{FrameSampleBatch, 0xFF, 0xFF, 0xFF}
 	_, _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(huge)), 0, nil)
 	if !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized length prefix: got %v", err)
@@ -314,8 +318,8 @@ func TestParseHelloRejects(t *testing.T) {
 
 func TestReadFrameBufferReuse(t *testing.T) {
 	var wire []byte
-	wire = AppendSample(wire, 1, []uint64{1, 2, 3, 4})
-	wire = AppendSample(wire, 2, []uint64{5, 6, 7, 8})
+	wire = AppendSampleBatch(wire, []uint32{1}, []uint64{1, 2, 3, 4}, 4)
+	wire = AppendSampleBatch(wire, []uint32{2}, []uint64{5, 6, 7, 8}, 4)
 	br := bufio.NewReader(bytes.NewReader(wire))
 	_, _, buf, err := ReadFrame(br, 0, nil)
 	if err != nil {
@@ -328,8 +332,11 @@ func TestReadFrameBufferReuse(t *testing.T) {
 	if &buf[0] != &buf2[0] {
 		t.Fatal("equal-size frames should reuse the recycled buffer")
 	}
-	seq, _, err := ParseSampleInto(body, 4, make([]uint64, 4))
-	if err != nil || seq != 2 {
-		t.Fatalf("second frame: seq %d err %v", seq, err)
+	it, err := ParseSampleBatch(body, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, _, ok := it.Next(make([]uint64, 4)); !ok || seq != 2 {
+		t.Fatalf("second frame: seq %d ok %v", seq, ok)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // a frame whose checksum does not hold.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendHello(nil, Hello{Version: ProtoVersion, Width: 4, Horizon: 100, Tenant: "acme", Stream: "s0"}))
-	f.Add(AppendSample(nil, 3, []uint64{1, 2, 3, 4}))
+	f.Add(AppendSampleBatch(nil, []uint32{3}, []uint64{1, 2, 3, 4}, 4))
 	f.Add(AppendHelloOK(nil, HelloOK{Resume: 7, Window: 64, Width: 4}))
-	f.Add(AppendVerdict(nil, Verdict{Seq: 1, Interval: 1, Score: 0.5, Malware: true}))
+	f.Add(AppendVerdictBatch(nil, []Verdict{{Seq: 1, Interval: 1, Score: 0.5, Malware: true}}))
 	f.Add(AppendShed(nil, Shed{Count: 2, LastSeq: 9}))
 	f.Add(AppendRetry(nil, Retry{AfterMillis: 100, Reason: "quota"}))
 	f.Add(AppendDrain(nil, "draining"))
@@ -23,13 +23,14 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendFrame(nil, FrameBye, nil))
 	// Two valid frames back to back: stream decoding must resync on
 	// frame boundaries, not just handle single frames.
-	f.Add(AppendSample(AppendSample(nil, 1, []uint64{5, 6, 7, 8}), 2, []uint64{9, 10, 11, 12}))
+	f.Add(AppendSampleBatch(AppendSampleBatch(nil, []uint32{1}, []uint64{5, 6, 7, 8}, 4), []uint32{2}, []uint64{9, 10, 11, 12}, 4))
 	// A frame whose CRC was stomped.
-	bad := AppendSample(nil, 3, []uint64{1, 2, 3, 4})
+	bad := AppendSampleBatch(nil, []uint32{3}, []uint64{1, 2, 3, 4}, 4)
 	bad[len(bad)-1] ^= 0xFF
 	f.Add(bad)
 
-	// Batch frames (protocol v2): empty, small, and max-count batches.
+	// Batch frames: empty (malformed: the parsers must reject it),
+	// small, and max-count batches.
 	f.Add(AppendSampleBatch(nil, nil, nil, 4))
 	f.Add(AppendSampleBatch(nil, []uint32{1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 4))
 	maxSeqs := make([]uint32, MaxBatchRecords)
@@ -41,7 +42,8 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(AppendSampleBatch(nil, maxSeqs, maxVals, 1))
 	f.Add(AppendVerdictBatch(nil, nil))
 	f.Add(AppendVerdictBatch(nil, []Verdict{{Seq: 1, Interval: 1, Score: 0.25}, {Seq: 2, Interval: 2, Score: 0.75, Malware: true}}))
-	f.Add(AppendHelloOK(nil, HelloOK{Resume: 7, Window: 64, Width: 4, Batching: true}))
+	// The retired protocol-2 HELLO_OK with its trailing flags byte.
+	f.Add(AppendFrame(nil, FrameHelloOK, []byte{0, 0, 0, 7, 0, 64, 0, 4, 1}))
 	// CRC-valid batch frames whose bodies lie: a count promising more
 	// records than the body carries, and a body torn mid-record. The
 	// framing layer accepts them; the batch parsers must not.
@@ -76,12 +78,6 @@ func FuzzFrameDecode(f *testing.F) {
 				}
 			case FrameHelloOK:
 				ParseHelloOK(body)
-			case FrameSample:
-				for w := 0; w <= 8; w++ {
-					ParseSampleInto(body, w, make([]uint64, w))
-				}
-			case FrameVerdict:
-				ParseVerdict(body)
 			case FrameSampleBatch:
 				for w := 1; w <= 8; w++ {
 					if it, err := ParseSampleBatch(body, w); err == nil {
@@ -148,7 +144,7 @@ func drainVerdictBatch(t *testing.T, it *VerdictBatch) {
 // never panic or over-read regardless of how the bytes arrived.
 func FuzzBatchIterators(f *testing.F) {
 	f.Add([]byte{}, 4)
-	f.Add([]byte{0, 0}, 4)
+	f.Add([]byte{0, 0}, 4) // zero records: rejected
 	f.Add([]byte{0, 10, 0, 0, 0, 1}, 4)
 	full := AppendSampleBatch(nil, []uint32{1, 2}, []uint64{1, 2, 3, 4, 5, 6, 7, 8}, 4)
 	f.Add(append([]byte(nil), full[headerSize:len(full)-crcSize]...), 4)

@@ -88,7 +88,7 @@ func ParseJoin(body []byte) (Join, error) {
 		return j, fmt.Errorf("%w: join body %d bytes", ErrBadFrame, len(body))
 	}
 	j.Version = body[0]
-	if j.Version < ProtoVersionMin || j.Version > ProtoVersion {
+	if j.Version != ProtoVersion {
 		return j, fmt.Errorf("%w: %d", ErrBadVersion, j.Version)
 	}
 	j.Weight = int(binary.BigEndian.Uint16(body[1:3]))

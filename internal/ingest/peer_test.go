@@ -90,8 +90,11 @@ func TestPeerFrameRoundTrips(t *testing.T) {
 }
 
 func TestPeerFrameRejects(t *testing.T) {
-	if _, err := ParseJoin(appendJoinBody(Join{Version: 99, Weight: 1, NodeID: "n", Addr: "a"})); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("bad join version: %v", err)
+	// Version-2 nodes cannot join a version-3 cluster.
+	for _, v := range []byte{2, 99} {
+		if _, err := ParseJoin(appendJoinBody(Join{Version: v, Weight: 1, NodeID: "n", Addr: "a"})); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("join version %d: %v", v, err)
+		}
 	}
 	if _, err := ParseJoin(appendJoinBody(Join{Version: ProtoVersion, Weight: 1, NodeID: "", Addr: "a"})); err == nil {
 		t.Fatal("empty node ID accepted")

@@ -351,8 +351,8 @@ func (s *Server) slowEvict(c *conn) {
 // (senders race detach).
 //
 // Outbound traffic splits into two bounded queues the writer drains
-// per wakeup: verdicts land in vq as structs (the writer encodes them,
-// batched when negotiated) and control frames (SHED, RETRY, DRAIN,
+// per wakeup: verdicts land in vq as structs (the writer encodes them
+// into VERDICT_BATCH frames) and control frames (SHED, RETRY, DRAIN,
 // ERROR) ride out pre-framed. Either queue filling means the client
 // cannot keep up with its own verdict stream — vq-full evicts exactly
 // like the old outbox-full path.
@@ -364,10 +364,6 @@ type conn struct {
 	out  chan []byte
 	wake chan struct{}
 	done chan struct{}
-
-	// batch is the HELLO-negotiated capability: this client parses
-	// SAMPLE_BATCH/VERDICT_BATCH frames (protocol v2+).
-	batch bool
 
 	vmu         sync.Mutex
 	vq          []Verdict // verdict ring buffer, capacity == OutboxDepth
@@ -462,30 +458,21 @@ func (c *conn) writeNow(f []byte) error {
 	return err
 }
 
-// appendVerdicts encodes drained verdicts into buf: one VERDICT_BATCH
-// per VerdictBatchLimit records on batching connections with more than
-// one pending, single VERDICT frames otherwise (the only shape
-// protocol-v1 clients parse).
+// appendVerdicts encodes drained verdicts into buf as VERDICT_BATCH
+// frames of at most VerdictBatchLimit records each; nothing drained
+// means nothing appended, so no batch is ever empty.
 func (c *conn) appendVerdicts(buf []byte, vs []Verdict) []byte {
 	for len(vs) > 0 {
-		if c.batch && len(vs) > 1 {
-			n := len(vs)
-			if n > VerdictBatchLimit {
-				n = VerdictBatchLimit
-			}
-			buf = AppendVerdictBatch(buf, vs[:n])
-			c.srv.verdictBatches.Add(1)
-			vs = vs[n:]
-			continue
-		}
-		buf = AppendVerdict(buf, vs[0])
-		vs = vs[1:]
+		n := min(len(vs), VerdictBatchLimit)
+		buf = AppendVerdictBatch(buf, vs[:n])
+		c.srv.verdictBatches.Add(1)
+		vs = vs[n:]
 	}
 	return buf
 }
 
 // gather coalesces everything currently outbound into buf: queued
-// verdicts first (encoded, batched when negotiated), then every
+// verdicts first (encoded as VERDICT_BATCH frames), then every
 // control frame waiting in the outbox. Verdicts-first matters — a
 // DRAIN("finished") queued after a stream's last verdict must never
 // overtake it onto the wire.
@@ -648,11 +635,6 @@ func (s *Server) handshake(c *conn, br *bufio.Reader) bool {
 		c.writeNow(AppendError(s.getBuf(), err.Error()))
 		return false
 	}
-	// Negotiate batch framing: protocol v2+ clients parse (and may
-	// send) batch frames; v1 clients get the legacy single-frame wire
-	// format end to end.
-	c.batch = h.Version >= 2
-
 	if s.draining.Load() {
 		s.drainRejects.Add(1)
 		c.writeNow(AppendDrain(s.getBuf(), "draining"))
@@ -698,7 +680,7 @@ func (s *Server) handshake(c *conn, br *bufio.Reader) bool {
 		}
 		c.ns = ns
 		s.reattaches.Add(1)
-		if err := c.writeNow(AppendHelloOK(s.getBuf(), HelloOK{Resume: int(resume), Window: s.cfg.window(), Width: s.cfg.Width, Batching: c.batch})); err != nil {
+		if err := c.writeNow(AppendHelloOK(s.getBuf(), HelloOK{Resume: int(resume), Window: s.cfg.window(), Width: s.cfg.Width})); err != nil {
 			return false
 		}
 		return true
@@ -757,7 +739,7 @@ func (s *Server) handshake(c *conn, br *bufio.Reader) bool {
 	s.streams[key] = ns
 	s.mu.Unlock()
 	s.admissions.Add(1)
-	if err := c.writeNow(AppendHelloOK(s.getBuf(), HelloOK{Resume: int(resume), Window: s.cfg.window(), Width: s.cfg.Width, Batching: c.batch})); err != nil {
+	if err := c.writeNow(AppendHelloOK(s.getBuf(), HelloOK{Resume: int(resume), Window: s.cfg.window(), Width: s.cfg.Width})); err != nil {
 		return false
 	}
 	return true
@@ -801,30 +783,7 @@ func (s *Server) readLoop(c *conn, br *bufio.Reader) {
 			return
 		}
 		switch typ {
-		case FrameSample:
-			seq, vals, perr := ParseSampleInto(body, s.cfg.Width, vbuf)
-			if perr != nil {
-				s.wireErrors.Add(1)
-				s.connsEvicted.Add(1)
-				c.trySend(AppendError(s.getBuf(), perr.Error()))
-				c.close(false)
-				return
-			}
-			if !t.admitSample() {
-				ns.throttled.Add(1)
-				c.trySend(AppendRetry(s.getBuf(), Retry{AfterMillis: s.cfg.retryMillis(), Reason: "tenant sample rate"}))
-				continue
-			}
-			if res := ns.admit(seq, vals); res.shed {
-				c.trySend(AppendShed(s.getBuf(), Shed{Count: 1, LastSeq: res.shedSeq}))
-			}
 		case FrameSampleBatch:
-			if !c.batch {
-				s.protoErrors.Add(1)
-				c.trySend(AppendError(s.getBuf(), "batch framing not negotiated (HELLO version < 2)"))
-				c.close(false)
-				return
-			}
 			it, perr := ParseSampleBatch(body, s.cfg.Width)
 			if perr != nil {
 				s.wireErrors.Add(1)
@@ -834,9 +793,9 @@ func (s *Server) readLoop(c *conn, br *bufio.Reader) {
 				return
 			}
 			s.sampleBatches.Add(1)
-			// Per-record admission matches the single-frame path exactly;
-			// shed and throttle notices aggregate to one frame per batch
-			// so notice traffic stays O(batch) too.
+			// Admission is per record; shed and throttle notices
+			// aggregate to one frame per batch so notice traffic stays
+			// O(batch).
 			var (
 				shed      Shed
 				throttled int
@@ -913,9 +872,8 @@ type Stats struct {
 	VerdictsUndelivered int64
 
 	// WriteSyscalls counts socket Write invocations (coalesced flushes
-	// and handshake replies); with batch framing it amortizes to a
-	// small fraction of a call per sample. SampleBatches/VerdictBatches
-	// count batch frames decoded/emitted.
+	// and handshake replies). SampleBatches/VerdictBatches count batch
+	// frames decoded/emitted.
 	WriteSyscalls  int64
 	SampleBatches  int64
 	VerdictBatches int64
@@ -989,11 +947,4 @@ func (s *Server) NodeStatsSnapshot() NodeStats {
 		Attributed: uint64(st.VerdictsAttributed),
 		Held:       uint64(st.VerdictsHeld),
 	}
-}
-
-// Stream returns the netStream for tenant/name, if admitted.
-func (s *Server) stream(tenant, name string) *netStream {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.streams[tenant+"/"+name]
 }

@@ -2,23 +2,23 @@ package ingest
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
 )
 
-// TestIngestBatchedRoundTrip drives the negotiated v2 path end to end:
+// TestIngestBatchedRoundTrip drives the batch path end to end:
 // Queue/Flush packs many samples behind one header + CRC, the server
 // decodes the batch, and every verdict comes back in order — with the
 // client spending far fewer Write calls than samples.
 func TestIngestBatchedRoundTrip(t *testing.T) {
 	h := startHarness(t, nil)
 	c := dialStream(t, h.addr, "t", "s0", 0)
-	if !c.Batching() {
-		t.Fatal("default dial did not negotiate batching")
-	}
 	const n = 48
 	for seq := uint32(0); seq < n; seq++ {
 		if err := c.Queue(seq, sampleVals(seq)); err != nil {
@@ -51,61 +51,39 @@ func TestIngestBatchedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestVersionNegotiation pins the interop contract: a protocol-v1
-// client gets a legacy 8-byte HELLO_OK (Batching false), its single
-// SAMPLE frames still score, and the server never emits a batch frame
-// at it.
+// TestIngestVersionNegotiation pins the one-version contract: a HELLO
+// carrying any version but ProtoVersion — including the retired
+// versions 1 and 2, which may send single SAMPLE frames — is refused
+// at the handshake with an ERROR naming ErrBadVersion, and counted as
+// a protocol error.
 func TestIngestVersionNegotiation(t *testing.T) {
 	h := startHarness(t, nil)
-	c, err := Dial(ClientConfig{
-		Addr:  h.addr,
-		Hello: Hello{Version: 1, Width: testWidth, Tenant: "t", Stream: "s0"},
-	})
-	if err != nil {
-		t.Fatalf("v1 dial: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.Batching() {
-		t.Fatal("v1 client was offered batching")
-	}
-	const n = 8
-	for seq := uint32(0); seq < n; seq++ {
-		if err := c.Send(seq, sampleVals(seq)); err != nil {
-			t.Fatal(err)
+	for i, v := range []byte{1, 2, ProtoVersion + 1} {
+		_, err := Dial(ClientConfig{
+			Addr:  h.addr,
+			Hello: Hello{Version: v, Width: testWidth, Tenant: "t", Stream: "s0"},
+		})
+		var rej *RejectedError
+		if !errors.As(err, &rej) || rej.Event.Type != FrameError {
+			t.Fatalf("version %d: got %v, want an ERROR rejection", v, err)
+		}
+		if !strings.Contains(rej.Event.Reason, ErrBadVersion.Error()) {
+			t.Fatalf("version %d: ERROR %q does not name %v", v, rej.Event.Reason, ErrBadVersion)
+		}
+		if got := h.srv.StatsSnapshot(false).ProtoErrors; got != int64(i+1) {
+			t.Fatalf("version %d: ProtoErrors %d, want %d", v, got, i+1)
 		}
 	}
-	vs := collectVerdicts(t, c, n)
-	for i, v := range vs {
-		if v.Seq != uint32(i) {
-			t.Fatalf("verdict %d out of order: %+v", i, v)
-		}
+	if st := h.srv.StatsSnapshot(false); st.Admissions != 0 {
+		t.Fatalf("a refused version was admitted: %+v", st)
 	}
-	st := h.srv.StatsSnapshot(false)
-	if st.SampleBatches != 0 || st.VerdictBatches != 0 {
-		t.Fatalf("batch frames on a v1 connection: %d in, %d out", st.SampleBatches, st.VerdictBatches)
-	}
-
-	// Queue/Flush on an unbatched client must fall back to single
-	// frames — still coalesced into one Write.
-	w0 := c.WriteCalls()
-	for seq := uint32(n); seq < 2*n; seq++ {
-		if err := c.Queue(seq, sampleVals(seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w := c.WriteCalls() - w0; w != 1 {
-		t.Fatalf("legacy flush took %d writes, want 1", w)
-	}
-	collectVerdicts(t, c, n)
 }
 
-// TestIngestBatchNotNegotiatedRejected: a SAMPLE_BATCH from a
-// connection that handshook v1 is a protocol violation, answered with
-// ERROR and a close — not silently decoded.
-func TestIngestBatchNotNegotiatedRejected(t *testing.T) {
+// TestIngestRetiredSampleFrameRejected: a single SAMPLE frame (type
+// 0x02, retired with protocol version 3) after admission is an
+// unexpected frame — answered with ERROR and a close, counted as a
+// protocol error, never decoded as a sample.
+func TestIngestRetiredSampleFrameRejected(t *testing.T) {
 	h := startHarness(t, nil)
 	nc, err := net.Dial("tcp", h.addr)
 	if err != nil {
@@ -113,7 +91,7 @@ func TestIngestBatchNotNegotiatedRejected(t *testing.T) {
 	}
 	defer nc.Close()
 	br := bufio.NewReader(nc)
-	hello := AppendHello(nil, Hello{Version: 1, Width: testWidth, Tenant: "t", Stream: "s0"})
+	hello := AppendHello(nil, Hello{Version: ProtoVersion, Width: testWidth, Tenant: "t", Stream: "s0"})
 	if _, err := nc.Write(hello); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +99,13 @@ func TestIngestBatchNotNegotiatedRejected(t *testing.T) {
 	if err != nil || typ != FrameHelloOK {
 		t.Fatalf("handshake: type %#x err %v", typ, err)
 	}
-	batch := AppendSampleBatch(nil, []uint32{0, 1},
-		append(sampleVals(0), sampleVals(1)...), testWidth)
-	if _, err := nc.Write(batch); err != nil {
+	// A CRC-valid frame in the retired single-sample layout: seq u32
+	// followed by the vector.
+	body := binary.BigEndian.AppendUint32(nil, 0)
+	for _, v := range sampleVals(0) {
+		body = binary.BigEndian.AppendUint64(body, v)
+	}
+	if _, err := nc.Write(AppendFrame(nil, 0x02, body)); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -140,11 +122,14 @@ func TestIngestBatchNotNegotiatedRejected(t *testing.T) {
 		}
 	}
 	if !sawError {
-		t.Fatal("un-negotiated batch frame drew no ERROR")
+		t.Fatal("retired SAMPLE frame drew no ERROR")
 	}
 	waitFor(t, "proto error accounting", func() bool {
 		return h.srv.StatsSnapshot(false).ProtoErrors > 0
 	})
+	if st := h.srv.stream("t", "s0").stats(); st.Accepted != 0 {
+		t.Fatalf("retired frame admitted %d samples", st.Accepted)
+	}
 }
 
 // TestIngestBatchedShedAccounting mirrors TestIngestShedIsExplicit on
@@ -242,14 +227,13 @@ func TestIngestBatchedByeFlushes(t *testing.T) {
 // kernel buffer), where flush timing is deterministic: a Write blocks
 // until the test reads, so "mid-coalesce" states can be pinned exactly.
 
-func newPipeConn(s *Server, nc net.Conn, batch bool, depth int) *conn {
+func newPipeConn(s *Server, nc net.Conn, depth int) *conn {
 	return &conn{
 		srv:      s,
 		nc:       nc,
 		out:      make(chan []byte, depth),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
-		batch:    batch,
 		vq:       make([]Verdict, depth),
 		vscratch: make([]Verdict, 0, depth),
 	}
@@ -281,7 +265,7 @@ func TestWriterCoalescesVerdictBatch(t *testing.T) {
 	s := pipeServer()
 	sp, cp := net.Pipe()
 	defer cp.Close()
-	c := newPipeConn(s, sp, true, 8)
+	c := newPipeConn(s, sp, 8)
 	for i := 0; i < 5; i++ {
 		if !c.sendVerdict(Verdict{Seq: uint32(i), Interval: uint32(i), Score: 0.5}) {
 			t.Fatalf("sendVerdict %d refused", i)
@@ -317,32 +301,50 @@ func TestWriterCoalescesVerdictBatch(t *testing.T) {
 	c.close(true)
 }
 
-// TestWriterLegacyCoalescesSingles: an unbatched conn still coalesces
-// the flush — N single VERDICT frames, one Write.
+// TestWriterLegacyCoalescesSingles: verdicts handed to the conn one at
+// a time — the traffic older clients received as single VERDICT frames
+// — still coalesce: three queued before the wakeup leave as one
+// VERDICT_BATCH in one Write, and a lone verdict after that flush
+// leaves as a batch of one in its own Write. No single-verdict frame
+// is ever emitted.
 func TestWriterLegacyCoalescesSingles(t *testing.T) {
 	s := pipeServer()
 	sp, cp := net.Pipe()
 	defer cp.Close()
-	c := newPipeConn(s, sp, false, 8)
+	c := newPipeConn(s, sp, 8)
 	for i := 0; i < 3; i++ {
 		c.sendVerdict(Verdict{Seq: uint32(i), Interval: uint32(i)})
 	}
 	go c.writer()
-	fs := readFrames(t, cp, 3)
-	for i, f := range fs {
-		if f[0][0] != FrameVerdict {
-			t.Fatalf("frame %d type %#x, want VERDICT", i, f[0][0])
+	br := bufio.NewReader(cp)
+	want := uint32(0)
+	for round, n := range []int{3, 1} {
+		if round == 1 {
+			c.sendVerdict(Verdict{Seq: 3, Interval: 3})
 		}
-		v, err := ParseVerdict(f[1])
-		if err != nil || v.Seq != uint32(i) {
-			t.Fatalf("frame %d: %+v %v", i, v, err)
+		typ, body, _, err := ReadFrame(br, 0, nil)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if typ != FrameVerdictBatch {
+			t.Fatalf("round %d: frame type %#x, want VERDICT_BATCH", round, typ)
+		}
+		it, err := ParseVerdictBatch(body)
+		if err != nil || it.Len() != n {
+			t.Fatalf("round %d: batch len %d err %v, want %d verdicts", round, it.Len(), err, n)
+		}
+		for v, ok := it.Next(); ok; v, ok = it.Next() {
+			if v.Seq != want {
+				t.Fatalf("round %d: verdict %+v, want seq %d", round, v, want)
+			}
+			want++
+		}
+		if got := s.writeCalls.Load(); got != int64(round+1) {
+			t.Fatalf("round %d: %d writes, want %d", round, got, round+1)
 		}
 	}
-	if got := s.writeCalls.Load(); got != 1 {
-		t.Fatalf("legacy flush took %d writes, want 1", got)
-	}
-	if s.verdictBatches.Load() != 0 {
-		t.Fatal("batch frame emitted to a v1 conn")
+	if s.verdictBatches.Load() != 2 {
+		t.Fatalf("verdictBatches %d, want 2", s.verdictBatches.Load())
 	}
 	c.close(true)
 }
@@ -355,7 +357,7 @@ func TestWriterSoftCloseFlushesPartialCoalesce(t *testing.T) {
 	s := pipeServer()
 	sp, cp := net.Pipe()
 	defer cp.Close()
-	c := newPipeConn(s, sp, true, 8)
+	c := newPipeConn(s, sp, 8)
 	for i := 0; i < 3; i++ {
 		c.sendVerdict(Verdict{Seq: uint32(i), Interval: uint32(i)})
 	}
@@ -409,7 +411,7 @@ func TestWriterSlowEvictMidCoalesce(t *testing.T) {
 	defer cp.Close()
 	const depth = 2
 	bc := &blockingConn{Conn: sp, entered: make(chan struct{}, 1)}
-	c := newPipeConn(s, bc, true, depth)
+	c := newPipeConn(s, bc, depth)
 	go c.writer()
 	c.sendVerdict(Verdict{Seq: 0})
 	select {

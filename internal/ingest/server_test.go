@@ -96,6 +96,18 @@ func sampleVals(seq uint32) []uint64 {
 	return []uint64{uint64(seq)*4 + 1, uint64(seq)*4 + 2, uint64(seq)*4 + 3, uint64(seq)*4 + 4}
 }
 
+// sampleFrame encodes one sample as a SAMPLE_BATCH of one.
+func sampleFrame(seq uint32) []byte {
+	return AppendSampleBatch(nil, []uint32{seq}, sampleVals(seq), testWidth)
+}
+
+// stream returns the server's netStream for tenant/name, if admitted.
+func (s *Server) stream(tenant, name string) *netStream {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.streams[tenant+"/"+name]
+}
+
 func dialStream(t *testing.T, addr, tenant, stream string, horizon int) *Client {
 	t.Helper()
 	c, err := Dial(ClientConfig{
@@ -270,7 +282,7 @@ func TestIngestCorruptFrameEvictsConnNotStream(t *testing.T) {
 
 	// Hand-craft a frame whose CRC is stomped (payload damage only, so
 	// the framing stays parseable and the checksum is what catches it).
-	bad := AppendSample(nil, 1, sampleVals(1))
+	bad := sampleFrame(1)
 	bad[len(bad)-6] ^= 0x01
 	if _, err := c1.nc.Write(bad); err != nil {
 		t.Fatal(err)
@@ -306,7 +318,7 @@ func TestIngestSlowlorisEviction(t *testing.T) {
 	c := dialStream(t, h.addr, "acme", "s0", 0)
 	// Trickle half a frame and stall. A server without per-frame read
 	// deadlines would pin this connection forever.
-	frame := AppendSample(nil, 0, sampleVals(0))
+	frame := sampleFrame(0)
 	if _, err := c.nc.Write(frame[:5]); err != nil {
 		t.Fatal(err)
 	}

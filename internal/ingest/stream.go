@@ -9,9 +9,6 @@ import (
 	"repro/internal/source"
 )
 
-// recentVerdicts is the per-stream debug ring depth (HTTP polling).
-const recentVerdicts = 32
-
 // netStream adapts one remote client's sample feed to the fleet
 // engine's unified source contract. It implements source.BufferedSource
 // (the shard reads buffered samples allocation-free) and source.Queued
@@ -60,10 +57,6 @@ type netStream struct {
 	held        atomic.Int64 // hold-last verdicts (no sample consumed)
 	undelivered atomic.Int64 // attributed verdicts with no conn to echo to
 	reattaches  atomic.Int64
-
-	vmu   sync.Mutex
-	vring [recentVerdicts]Verdict
-	vn    int64
 }
 
 func newNetStream(srv *Server, tenant, name string, width, window int) *netStream {
@@ -142,7 +135,6 @@ func (ns *netStream) onVerdict(v core.Verdict) {
 		Malware:  v.Malware,
 	}
 	ns.attributed.Add(1)
-	ns.record(wire)
 	ns.srv.deliverVerdict(ns, wire)
 }
 
@@ -152,29 +144,6 @@ func (ns *netStream) onVerdict(v core.Verdict) {
 func (ns *netStream) onFinish() {
 	ns.finished.Store(true)
 	ns.srv.streamFinished(ns)
-}
-
-// record keeps the last few attributed verdicts for HTTP debugging.
-func (ns *netStream) record(v Verdict) {
-	ns.vmu.Lock()
-	ns.vring[ns.vn%recentVerdicts] = v
-	ns.vn++
-	ns.vmu.Unlock()
-}
-
-// Recent returns the retained verdicts, oldest first.
-func (ns *netStream) Recent() []Verdict {
-	ns.vmu.Lock()
-	defer ns.vmu.Unlock()
-	n := ns.vn
-	if n > recentVerdicts {
-		n = recentVerdicts
-	}
-	out := make([]Verdict, 0, n)
-	for i := ns.vn - n; i < ns.vn; i++ {
-		out = append(out, ns.vring[i%recentVerdicts])
-	}
-	return out
 }
 
 // --- connection side ---
